@@ -751,7 +751,8 @@ func (pl *asyncPlane[T]) stats() AsyncStats {
 //     an internal pool; hot producers should hold their own handle
 //     (Producer) for strict per-producer ordering and zero pool traffic.
 type Async struct {
-	inner Profiler
+	statViews // getters as one-field Queries on one epoch snapshot
+	inner     Profiler
 	// sharded is the routing/snapshot geometry when the (possibly
 	// Durable-wrapped) inner profile is sharded; nil means one shard.
 	sharded *Sharded
@@ -787,6 +788,7 @@ func NewAsync(inner Profiler, policy AsyncPolicy) (*Async, error) {
 		base = d.Unwrap()
 	}
 	a := &Async{inner: inner, m: inner.Cap()}
+	a.statViews = statViews{a}
 	nshards := 1
 	if sh, ok := base.(*Sharded); ok {
 		a.sharded = sh
@@ -990,36 +992,6 @@ func (a *Async) Count(x int) (int64, error) {
 	}
 	return a.curView().Count(x)
 }
-
-// Mode returns a maximum-frequency object of the current epoch.
-func (a *Async) Mode() (Entry, int, error) { return a.curView().Mode() }
-
-// Min returns a minimum-frequency object of the current epoch.
-func (a *Async) Min() (Entry, int, error) { return a.curView().Min() }
-
-// TopK returns the k most frequent entries of the current epoch.
-func (a *Async) TopK(k int) []Entry { return a.curView().TopK(k) }
-
-// BottomK returns the k least frequent entries of the current epoch.
-func (a *Async) BottomK(k int) []Entry { return a.curView().BottomK(k) }
-
-// KthLargest returns the entry holding the k-th largest frequency.
-func (a *Async) KthLargest(k int) (Entry, error) { return a.curView().KthLargest(k) }
-
-// Median returns the lower-median entry.
-func (a *Async) Median() (Entry, error) { return a.curView().Median() }
-
-// Quantile returns the entry at quantile q in [0, 1].
-func (a *Async) Quantile(q float64) (Entry, error) { return a.curView().Quantile(q) }
-
-// Majority returns the strict-majority object, if one exists.
-func (a *Async) Majority() (Entry, bool, error) { return a.curView().Majority() }
-
-// Distribution returns the frequency histogram of the current epoch.
-func (a *Async) Distribution() []FreqCount { return a.curView().Distribution() }
-
-// Summarize returns aggregate statistics of the current epoch.
-func (a *Async) Summarize() Summary { return a.curView().Summarize() }
 
 // Query answers a composite query atomically against ONE epoch snapshot —
 // the one-cut invariants of the query plane hold, and the evaluation never

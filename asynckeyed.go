@@ -26,13 +26,15 @@ import (
 //     a key the write-ahead log cannot record) stay synchronous.
 //   - Key translation uses the live mapper, so in rare cases a key read
 //     from an epoch snapshot may have been recycled since that epoch was
-//     published — the same point-in-time caveat KeyedConcurrent documents
-//     for its global queries.
+//     published. KeyedConcurrent rules this out by quiescing its stripes
+//     for every global query that names keys; the async plane's reads
+//     never block ingest.
 //
 // Construct with NewAsyncKeyed over a BuildKeyed profile, or in one step
 // with BuildKeyedAsync.
 type AsyncKeyed[K comparable] struct {
-	k *KeyedConcurrent[K]
+	keyedStatViews[K] // getters as one-field queries on one epoch snapshot
+	k                 *KeyedConcurrent[K]
 	// sharded is the dense profile; its shard geometry matches the mapper
 	// stripes, so applier i owns stripe i's home shard.
 	sharded *Sharded
@@ -61,6 +63,7 @@ func NewAsyncKeyed[K comparable](k *KeyedConcurrent[K], policy AsyncPolicy) (*As
 		return nil, fmt.Errorf("%w: shard/stripe geometry mismatch (%d shards, %d stripes)", ErrBuildConfig, sharded.Shards(), k.ids.NumStripes())
 	}
 	ak := &AsyncKeyed[K]{k: k, sharded: sharded}
+	ak.keyedStatViews = keyedStatViews[K]{ak}
 	// crossShard: a stripe whose dense-id range is exhausted borrows ids
 	// from a neighbouring shard's range, so an apply on stripe i can dirty
 	// shard j — every applier's version advances on every batch and Flush
@@ -114,13 +117,6 @@ func (ak *AsyncKeyed[K]) publishShard(shard int) {
 // curView returns the current epoch's dense read view.
 func (ak *AsyncKeyed[K]) curView() queryableProfiler {
 	return *ak.view.Load()
-}
-
-// queries builds the key-translating read facade over the current epoch.
-// The resolver is the live mapper: snapshots capture frequencies, the
-// id↔key assignment stays authoritative in the mapper.
-func (ak *AsyncKeyed[K]) queries() keyedQueries[K] {
-	return keyedQueries[K]{profile: ak.curView(), resolver: ak.k.ids}
 }
 
 // checkEvent validates what can be validated at enqueue time, keeping
@@ -245,69 +241,17 @@ func (ak *AsyncKeyed[K]) Epoch() uint64 { return ak.plane.epoch.Load() }
 
 // Count returns the frequency of key in the current epoch (zero for
 // unknown keys).
-func (ak *AsyncKeyed[K]) Count(key K) (int64, error) {
+func (ak *AsyncKeyed[K]) Count(key K) (int64, error) { return ak.countIn(ak.curView(), key) }
+
+// countIn reads key's frequency from one epoch view, resolving the key
+// through the live mapper; an unknown key counts as zero.
+func (ak *AsyncKeyed[K]) countIn(view Profiler, key K) (int64, error) {
 	id, err := ak.k.ids.DenseID(key)
 	if err != nil {
 		return 0, nil
 	}
-	return ak.curView().Count(id)
+	return view.Count(id)
 }
-
-// Mode returns a maximum-frequency key of the current epoch.
-func (ak *AsyncKeyed[K]) Mode() (KeyedEntry[K], int, error) {
-	q := ak.queries()
-	return q.Mode()
-}
-
-// Min returns a minimum-frequency key of the current epoch.
-func (ak *AsyncKeyed[K]) Min() (KeyedEntry[K], int, error) {
-	q := ak.queries()
-	return q.Min()
-}
-
-// TopK returns the k most frequent entries of the current epoch.
-func (ak *AsyncKeyed[K]) TopK(k int) []KeyedEntry[K] {
-	q := ak.queries()
-	return q.TopK(k)
-}
-
-// BottomK returns the k least frequent entries of the current epoch.
-func (ak *AsyncKeyed[K]) BottomK(k int) []KeyedEntry[K] {
-	q := ak.queries()
-	return q.BottomK(k)
-}
-
-// KthLargest returns the entry holding the k-th largest frequency.
-func (ak *AsyncKeyed[K]) KthLargest(k int) (KeyedEntry[K], error) {
-	q := ak.queries()
-	return q.KthLargest(k)
-}
-
-// Median returns the lower-median entry of the current epoch.
-func (ak *AsyncKeyed[K]) Median() (KeyedEntry[K], error) {
-	q := ak.queries()
-	return q.Median()
-}
-
-// Quantile returns the entry at quantile quant in [0, 1].
-func (ak *AsyncKeyed[K]) Quantile(quant float64) (KeyedEntry[K], error) {
-	q := ak.queries()
-	return q.Quantile(quant)
-}
-
-// Majority returns the strict-majority key of the current epoch, if any.
-func (ak *AsyncKeyed[K]) Majority() (KeyedEntry[K], bool, error) {
-	q := ak.queries()
-	return q.Majority()
-}
-
-// Distribution returns the frequency histogram of the current epoch.
-func (ak *AsyncKeyed[K]) Distribution() []FreqCount {
-	return ak.curView().Distribution()
-}
-
-// Summarize returns aggregate statistics of the current epoch.
-func (ak *AsyncKeyed[K]) Summarize() Summary { return ak.curView().Summarize() }
 
 // Cap returns the maximum number of concurrently tracked keys.
 func (ak *AsyncKeyed[K]) Cap() int { return ak.k.Cap() }
@@ -324,27 +268,17 @@ func (ak *AsyncKeyed[K]) KeyOf(id int) (K, bool) { return ak.k.ids.Key(id) }
 
 // QueryKeys answers a composite query atomically against ONE epoch
 // snapshot; per-key counts resolve ids through the live mapper and read
-// the same snapshot, so all panels are one cut.
+// the same snapshot, so all panels are one cut. The resolver is the live
+// mapper: snapshots capture frequencies, the id↔key assignment stays
+// authoritative in the mapper.
 func (ak *AsyncKeyed[K]) QueryKeys(kq KeyedQuery[K]) (KeyedQueryResult[K], error) {
-	q := ak.queries()
-	dres, err := q.queryDense(kq.dense())
-	if err != nil {
-		return KeyedQueryResult[K]{}, err
-	}
-	out := q.translateQueryResult(dres)
-	if len(kq.Count) > 0 {
-		out.Counts = make([]KeyedEntry[K], len(kq.Count))
-		for i, key := range kq.Count {
-			var f int64
-			if id, err := ak.k.ids.DenseID(key); err == nil {
-				if f, err = q.profile.Count(id); err != nil {
-					return KeyedQueryResult[K]{}, err
-				}
-			}
-			out.Counts[i] = KeyedEntry[K]{Key: key, Frequency: f}
-		}
-	}
-	return out, nil
+	q := keyedQueries[K]{profile: ak.curView(), resolver: ak.k.ids}
+	return q.answer(kq, func(key K) (int64, error) { return ak.countIn(q.profile, key) })
+}
+
+// queryDense answers q on the current epoch's dense snapshot.
+func (ak *AsyncKeyed[K]) queryDense(q Query) (QueryResult, error) {
+	return QueryProfiler(ak.curView(), q)
 }
 
 // Profile exposes the current epoch's dense snapshot as a read-only view.

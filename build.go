@@ -319,8 +319,9 @@ func MustBuild(m int, opts ...BuildOption) Profiler {
 // Durable over a concurrency-safe inner profiler is itself safe for
 // concurrent updates; fsyncs run outside the mutex with group commit.
 type Durable struct {
-	inner Profiler
-	store *checkpoint.Store
+	statViews // getters as one-field Queries on the inner profiler's cut
+	inner     Profiler
+	store     *checkpoint.Store
 	// mu serialises updates with each other and with checkpoint capture, so
 	// a snapshot covers exactly the events journaled before its rotation.
 	mu sync.Mutex
@@ -397,6 +398,7 @@ func newDurable(p Profiler, path string, syncEvery int, policy CheckpointPolicy)
 		return nil, fmt.Errorf("sprofile: replaying WAL %s: %w", path, err)
 	}
 	d := &Durable{inner: p, store: store, replayed: replayed, stats: recoveryStats(store.Stats())}
+	d.statViews = statViews{d}
 	if policy.Enabled() {
 		if _, ok := p.(Snapshotter); !ok {
 			return nil, fmt.Errorf("%w: WithCheckpoints needs a snapshottable profiler, got %T", ErrBuildConfig, p)
@@ -653,39 +655,6 @@ func (d *Durable) ApplyAll(tuples []Tuple) (int, error) {
 
 // Count returns the current frequency of object x.
 func (d *Durable) Count(x int) (int64, error) { return d.inner.Count(x) }
-
-// Mode returns an object with maximum frequency, that frequency, and how
-// many objects share it.
-func (d *Durable) Mode() (Entry, int, error) { return d.inner.Mode() }
-
-// Min returns an object with minimum frequency, that frequency, and how many
-// objects share it.
-func (d *Durable) Min() (Entry, int, error) { return d.inner.Min() }
-
-// TopK returns the k most frequent entries.
-func (d *Durable) TopK(k int) []Entry { return d.inner.TopK(k) }
-
-// BottomK returns the k least frequent entries.
-func (d *Durable) BottomK(k int) []Entry { return d.inner.BottomK(k) }
-
-// KthLargest returns the entry holding the k-th largest frequency.
-func (d *Durable) KthLargest(k int) (Entry, error) { return d.inner.KthLargest(k) }
-
-// Median returns the lower-median entry of the frequency multiset.
-func (d *Durable) Median() (Entry, error) { return d.inner.Median() }
-
-// Quantile returns the entry at quantile q in [0, 1].
-func (d *Durable) Quantile(q float64) (Entry, error) { return d.inner.Quantile(q) }
-
-// Majority returns the object holding a strict majority of the total count,
-// if one exists.
-func (d *Durable) Majority() (Entry, bool, error) { return d.inner.Majority() }
-
-// Distribution returns the frequency histogram.
-func (d *Durable) Distribution() []FreqCount { return d.inner.Distribution() }
-
-// Summarize returns aggregate statistics of the profile.
-func (d *Durable) Summarize() Summary { return d.inner.Summarize() }
 
 // Query answers a composite query by delegating to the inner profiler's own
 // cut-pinning Querier capability (falling back to a snapshot-based cut for

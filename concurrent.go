@@ -14,8 +14,9 @@ import (
 // adds a constant overhead per call. For very high ingest rates prefer
 // sharding by object id and merging distributions at query time.
 type Concurrent struct {
-	mu sync.RWMutex
-	p  *core.Profile
+	statViews // getters as one-field Queries, each under one read lock
+	mu        sync.RWMutex
+	p         *core.Profile
 }
 
 // NewConcurrent returns a mutex-protected S-Profile over m dense object ids.
@@ -24,7 +25,7 @@ func NewConcurrent(m int, opts ...Option) (*Concurrent, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Concurrent{p: p}, nil
+	return WrapConcurrent(p), nil
 }
 
 // MustNewConcurrent is NewConcurrent for callers with a known-good capacity;
@@ -39,7 +40,11 @@ func MustNewConcurrent(m int, opts ...Option) *Concurrent {
 
 // WrapConcurrent protects an existing profile. The caller must stop using the
 // profile directly afterwards.
-func WrapConcurrent(p *Profile) *Concurrent { return &Concurrent{p: p} }
+func WrapConcurrent(p *Profile) *Concurrent {
+	c := &Concurrent{p: p}
+	c.statViews = statViews{c}
+	return c
+}
 
 // Add increments the frequency of object x.
 func (c *Concurrent) Add(x int) error {
@@ -106,80 +111,6 @@ func (c *Concurrent) Count(x int) (int64, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.p.Count(x)
-}
-
-// Mode returns an object with maximum frequency, the frequency, and the
-// number of objects sharing it.
-func (c *Concurrent) Mode() (Entry, int, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.Mode()
-}
-
-// Min returns an object with minimum frequency, the frequency, and the number
-// of objects sharing it.
-func (c *Concurrent) Min() (Entry, int, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.Min()
-}
-
-// TopK returns the k most frequent entries in non-increasing frequency order.
-func (c *Concurrent) TopK(k int) []Entry {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.TopK(k)
-}
-
-// BottomK returns the k least frequent entries in non-decreasing frequency
-// order.
-func (c *Concurrent) BottomK(k int) []Entry {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.BottomK(k)
-}
-
-// KthLargest returns the entry holding the k-th largest frequency (1-based).
-func (c *Concurrent) KthLargest(k int) (Entry, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.KthLargest(k)
-}
-
-// Median returns the lower-median entry of the frequency multiset.
-func (c *Concurrent) Median() (Entry, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.Median()
-}
-
-// Quantile returns the entry at quantile q in [0, 1].
-func (c *Concurrent) Quantile(q float64) (Entry, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.Quantile(q)
-}
-
-// Majority returns the object holding a strict majority of the total count,
-// if one exists.
-func (c *Concurrent) Majority() (Entry, bool, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.Majority()
-}
-
-// Distribution returns the frequency histogram in ascending frequency order.
-func (c *Concurrent) Distribution() []FreqCount {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.Distribution()
-}
-
-// Summarize returns aggregate statistics of the profile.
-func (c *Concurrent) Summarize() Summary {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p.Summarize()
 }
 
 // Cap returns the number of object slots.

@@ -28,8 +28,10 @@ type Updater interface {
 // Reader is the query half of a profile: every statistic the S-Profile
 // structure maintains, each answered from the continuously sorted frequency
 // multiset. On a plain Profile all of these are O(1) (O(k) for TopK/BottomK,
-// O(#distinct frequencies) for Distribution); concurrency wrappers add lock
-// or merge overhead but keep the same semantics.
+// O(#distinct frequencies) for Distribution). On every wrapper the ten
+// statistic getters (all but Count, Cap and Total) are single-statistic
+// views of its Query: each is that Query with one field selected, so it
+// pays the wrapper's one lock, merge or snapshot and keeps its semantics.
 type Reader interface {
 	// Count returns the current frequency of object x.
 	Count(x int) (int64, error)

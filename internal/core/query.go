@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"math"
 )
 
@@ -86,35 +86,59 @@ func (q Query) NeedsDistribution() bool {
 // Validate checks every query argument against capacity m before anything is
 // evaluated, so a composite query fails whole or not at all. Violations wrap
 // both ErrInvalidQuery and the same taxonomy class the corresponding getter
-// returns (ErrBadRank, ErrObjectRange — both ErrOutOfRange), and an
-// unanswerable statistic on an empty profile fails with ErrEmptyProfile
-// exactly like the getter would.
+// returns (ErrBadRank, ErrObjectRange — both ErrOutOfRange; ArgClass
+// recovers it), and an unanswerable statistic on an empty profile fails with
+// ErrEmptyProfile exactly like the getter would.
 func (q Query) Validate(m int) error {
 	if q.TopK < 0 {
-		return fmt.Errorf("%w: top_k: %w", ErrInvalidQuery, errBadRank(q.TopK, m))
+		return &argError{"top_k: ", errBadRank(q.TopK, m)}
 	}
 	if q.BottomK < 0 {
-		return fmt.Errorf("%w: bottom_k: %w", ErrInvalidQuery, errBadRank(q.BottomK, m))
+		return &argError{"bottom_k: ", errBadRank(q.BottomK, m)}
 	}
 	for _, k := range q.KthLargest {
 		if k < 1 || k > m {
-			return fmt.Errorf("%w: kth_largest: %w", ErrInvalidQuery, errBadRank(k, m))
+			return &argError{"kth_largest: ", errBadRank(k, m)}
 		}
 	}
 	for _, qq := range q.Quantiles {
 		if math.IsNaN(qq) {
-			return fmt.Errorf("%w: %w", ErrInvalidQuery, CheckQuantile(qq))
+			return &argError{"", CheckQuantile(qq)}
 		}
 	}
 	for _, x := range q.Count {
 		if x < 0 || x >= m {
-			return fmt.Errorf("%w: count: %w", ErrInvalidQuery, errObjectRange(x, m))
+			return &argError{"count: ", errObjectRange(x, m)}
 		}
 	}
 	if m == 0 && q.RequiresNonEmpty() {
 		return ErrEmptyProfile
 	}
 	return nil
+}
+
+// argError is a Validate argument violation: the argument's own taxonomy
+// class, filed under ErrInvalidQuery as well.
+type argError struct {
+	field string
+	class error
+}
+
+func (e *argError) Error() string {
+	return ErrInvalidQuery.Error() + ": " + e.field + e.class.Error()
+}
+
+func (e *argError) Unwrap() []error { return []error{ErrInvalidQuery, e.class} }
+
+// ArgClass returns the argument's own class when err is a Validate argument
+// violation — the error the single-statistic getter reports for the same
+// argument, which must not match ErrInvalidQuery — and err otherwise.
+func ArgClass(err error) error {
+	var ae *argError
+	if errors.As(err, &ae) {
+		return ae.class
+	}
+	return err
 }
 
 // Queryable is the getter surface EvalQuery needs — the Reader half of the
@@ -137,7 +161,7 @@ type Queryable interface {
 }
 
 // resultBacking is the single allocation behind every pointer field of a
-// QueryResult — and, for the common dashboard case of a handful of
+// composite QueryResult — and, for the common dashboard case of a handful of
 // quantiles, the Quantiles slice too — so a composite query costs one heap
 // object for all its scalar answers instead of one each.
 type resultBacking struct {
@@ -146,6 +170,33 @@ type resultBacking struct {
 	majority  MajorityEntry
 	summary   Summary
 	quantiles [4]QuantileEntry
+}
+
+// sharesBacking reports whether q selects more than one scalar answer (a
+// few quantiles count as one). Only then is a resultBacking worth its size:
+// a single-statistic query, which is what every wrapper's getter issues,
+// allocates just its one answer.
+func (q Query) sharesBacking() bool {
+	n := 0
+	for _, on := range [...]bool{q.Mode, q.Min, q.Median, q.Majority, q.Summary, len(q.Quantiles) > 0} {
+		if on {
+			n++
+		}
+	}
+	return n > 1
+}
+
+// place stores a scalar answer: in its slot of the shared backing bk, or in
+// an object of its own when bk is nil.
+func place[T any](bk *resultBacking, slot func(*resultBacking) *T, v T) *T {
+	var p *T
+	if bk != nil {
+		p = slot(bk)
+	} else {
+		p = new(T)
+	}
+	*p = v
+	return p
 }
 
 // EvalQuery validates q and answers it getter by getter against r. It is the
@@ -159,7 +210,10 @@ func EvalQuery(r Queryable, q Query) (QueryResult, error) {
 	if err := q.Validate(r.Cap()); err != nil {
 		return res, err
 	}
-	bk := &resultBacking{}
+	var bk *resultBacking
+	if q.sharesBacking() {
+		bk = &resultBacking{}
+	}
 	if len(q.Count) > 0 {
 		res.Counts = make([]Entry, len(q.Count))
 		for i, x := range q.Count {
@@ -175,16 +229,14 @@ func EvalQuery(r Queryable, q Query) (QueryResult, error) {
 		if err != nil {
 			return QueryResult{}, err
 		}
-		bk.mode = Extreme{Entry: e, Ties: ties}
-		res.Mode = &bk.mode
+		res.Mode = place(bk, func(b *resultBacking) *Extreme { return &b.mode }, Extreme{Entry: e, Ties: ties})
 	}
 	if q.Min {
 		e, ties, err := r.Min()
 		if err != nil {
 			return QueryResult{}, err
 		}
-		bk.min = Extreme{Entry: e, Ties: ties}
-		res.Min = &bk.min
+		res.Min = place(bk, func(b *resultBacking) *Extreme { return &b.min }, Extreme{Entry: e, Ties: ties})
 	}
 	if q.TopK > 0 {
 		res.TopK = r.TopK(q.TopK)
@@ -207,11 +259,10 @@ func EvalQuery(r Queryable, q Query) (QueryResult, error) {
 		if err != nil {
 			return QueryResult{}, err
 		}
-		bk.median = e
-		res.Median = &bk.median
+		res.Median = place(bk, func(b *resultBacking) *Entry { return &b.median }, e)
 	}
 	if n := len(q.Quantiles); n > 0 {
-		if n <= len(bk.quantiles) {
+		if bk != nil && n <= len(bk.quantiles) {
 			res.Quantiles = bk.quantiles[:n:n]
 		} else {
 			res.Quantiles = make([]QuantileEntry, n)
@@ -229,15 +280,13 @@ func EvalQuery(r Queryable, q Query) (QueryResult, error) {
 		if err != nil {
 			return QueryResult{}, err
 		}
-		bk.majority = MajorityEntry{Entry: e, Majority: ok}
-		res.Majority = &bk.majority
+		res.Majority = place(bk, func(b *resultBacking) *MajorityEntry { return &b.majority }, MajorityEntry{Entry: e, Majority: ok})
 	}
 	if q.Distribution {
 		res.Distribution = r.Distribution()
 	}
 	if q.Summary {
-		bk.summary = r.Summarize()
-		res.Summary = &bk.summary
+		res.Summary = place(bk, func(b *resultBacking) *Summary { return &b.summary }, r.Summarize())
 	}
 	return res, nil
 }

@@ -23,6 +23,10 @@ import (
 
 var snapshotMagic = [4]byte{'S', 'P', 'F', '1'}
 
+// snapshotChunk caps the frequencies ReadSnapshot allocates for before it
+// has decoded any.
+const snapshotChunk = 4096
+
 // WriteSnapshot serialises the profile to w.
 func (p *Profile) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -94,13 +98,17 @@ func ReadSnapshot(r io.Reader) (*Profile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	freqs := make([]int64, mu)
-	for i := range freqs {
+	// The header's m is unverified until its frequencies arrive, so freqs
+	// starts at a bounded chunk and grows only with frequencies actually
+	// decoded: each takes at least one input byte, so a corrupt or hostile
+	// header costs memory in proportion to the input, not to m.
+	freqs := make([]int64, 0, min(mu, snapshotChunk))
+	for i := uint64(0); i < mu; i++ {
 		f, err := binary.ReadVarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: frequency %d: %v", ErrBadSnapshot, i, err)
 		}
-		freqs[i] = f
+		freqs = append(freqs, f)
 	}
 	var opts Options
 	if flags&1 != 0 {

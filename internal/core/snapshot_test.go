@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -109,6 +112,117 @@ func TestReadSnapshotRejectsCorruptInput(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(data[:len(data)-3])); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("truncated body: error = %v, want ErrBadSnapshot", err)
 	}
+}
+
+// snapshotHeader returns an SPF1 header declaring m slots and no events,
+// with no frequencies after it.
+func snapshotHeader(m uint64) []byte {
+	data := append(snapshotMagic[:], 0)
+	data = binary.AppendUvarint(data, m)
+	data = binary.AppendUvarint(data, 0)
+	return binary.AppendUvarint(data, 0)
+}
+
+// allocDuring returns how many bytes f allocated on the heap.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A header is not evidence of a payload: a snapshot declaring the largest
+// capacity but carrying no frequencies must fail without allocating for the
+// declared slots.
+func TestReadSnapshotHugeHeaderAllocatesLittle(t *testing.T) {
+	data := snapshotHeader(MaxCapacity)
+	var err error
+	alloc := allocDuring(func() { _, err = ReadSnapshot(bytes.NewReader(data)) })
+	if !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("ReadSnapshot(header-only, m=MaxCapacity) = %v, want ErrBadSnapshot", err)
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("ReadSnapshot(header-only, m=MaxCapacity) allocated %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// FuzzReadSnapshot runs its seeds as a regression test under go test and
+// can be expanded with go test -fuzz=FuzzReadSnapshot. The decoder must
+// never panic, must allocate in proportion to its input rather than to the
+// capacity a header declares, and must restore exactly what WriteSnapshot
+// wrote: re-encoding an accepted profile and decoding it again yields the
+// same profile, byte for byte.
+func FuzzReadSnapshot(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []int{0, 1, 7, 64} {
+		for _, strict := range []bool{false, true} {
+			var opts []Option
+			if strict {
+				opts = append(opts, WithStrictNonNegative())
+			}
+			p, err := New(m, opts...)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for i := 0; i < 4*m; i++ {
+				x := rng.Intn(m)
+				if rng.Float64() < 0.7 {
+					_ = p.Add(x)
+				} else {
+					_ = p.Remove(x)
+				}
+			}
+			var buf bytes.Buffer
+			if err := p.WriteSnapshot(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Add(snapshotHeader(MaxCapacity))
+	f.Add([]byte("SPF1"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p *Profile
+		var err error
+		alloc := allocDuring(func() { p, err = ReadSnapshot(bytes.NewReader(data)) })
+		// Every frequency takes at least one input byte, and a restored
+		// slot costs a bounded number of bytes of state.
+		if limit := uint64(64<<10 + 256*len(data)); alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d, want <= %d", len(data), alloc, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("rejection %v does not match ErrBadSnapshot", err)
+			}
+			return
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("accepted snapshot breaks invariants: %v", err)
+		}
+		var enc bytes.Buffer
+		if err := p.WriteSnapshot(&enc); err != nil {
+			t.Fatal(err)
+		}
+		q, err := ReadSnapshot(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decoding an encoded profile: %v", err)
+		}
+		pa, pr := p.Events()
+		qa, qr := q.Events()
+		if q.StrictNonNegative() != p.StrictNonNegative() || qa != pa || qr != pr ||
+			!slices.Equal(q.Frequencies(nil), p.Frequencies(nil)) {
+			t.Fatalf("decode(encode(p)) differs from p")
+		}
+		var again bytes.Buffer
+		if err := q.WriteSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), enc.Bytes()) {
+			t.Fatalf("encode(decode(encode(p))) differs from encode(p)")
+		}
+	})
 }
 
 func TestFromFrequenciesValidation(t *testing.T) {

@@ -34,13 +34,14 @@ type KeyedEntry[K comparable] struct {
 // safe for concurrent use end to end.
 type Keyed[K comparable] struct {
 	keyedQueries[K]
-	ids     *idmap.Mapper[K]
-	recycle bool
+	keyedStatViews[K] // getters as one-field queries
+	ids               *idmap.Mapper[K]
+	recycle           bool
 }
 
-// keyedQueries is the read-side shared by Keyed and KeyedConcurrent: every
-// statistic is answered by the dense profiler and translated back to keys
-// through the resolver. Embedding it keeps the translation logic in one
+// keyedQueries is the read-side shared by Keyed and KeyedConcurrent: the
+// dense profiler answers each composite query, and the resolver translates
+// its ids back to keys. Embedding it keeps the translation logic in one
 // place; the ingestion paths (and their locking disciplines) stay with the
 // concrete types.
 type keyedQueries[K comparable] struct {
@@ -67,40 +68,8 @@ func (q *keyedQueries[K]) entryToKeyed(e Entry) KeyedEntry[K] {
 	return KeyedEntry[K]{Key: key, Frequency: e.Frequency}
 }
 
-// Mode returns a key with the maximum frequency, the frequency, and the
-// number of objects sharing it.
-func (q *keyedQueries[K]) Mode() (KeyedEntry[K], int, error) {
-	e, ties, err := q.profile.Mode()
-	if err != nil {
-		return KeyedEntry[K]{}, 0, err
-	}
-	return q.entryToKeyed(e), ties, nil
-}
-
-// Min returns a key with the minimum frequency, the frequency, and the
-// number of objects sharing it. Slots not currently bound to a key report
-// the zero value of K.
-func (q *keyedQueries[K]) Min() (KeyedEntry[K], int, error) {
-	e, ties, err := q.profile.Min()
-	if err != nil {
-		return KeyedEntry[K]{}, 0, err
-	}
-	return q.entryToKeyed(e), ties, nil
-}
-
-// TopK returns the n most frequent entries in non-increasing frequency
-// order. Untracked slots (frequency zero, never used) may appear when fewer
-// than n keys have been added; their Key field is the zero value.
-func (q *keyedQueries[K]) TopK(n int) []KeyedEntry[K] {
-	return q.translate(q.profile.TopK(n))
-}
-
-// BottomK returns the n least frequent entries in non-decreasing frequency
-// order, with the same untracked-slot caveat as TopK.
-func (q *keyedQueries[K]) BottomK(n int) []KeyedEntry[K] {
-	return q.translate(q.profile.BottomK(n))
-}
-
+// translate converts dense-id entries into keyed entries; an empty input
+// yields nil.
 func (q *keyedQueries[K]) translate(entries []Entry) []KeyedEntry[K] {
 	if len(entries) == 0 {
 		return nil
@@ -112,52 +81,6 @@ func (q *keyedQueries[K]) translate(entries []Entry) []KeyedEntry[K] {
 	return out
 }
 
-// KthLargest returns the keyed entry holding the k-th largest frequency
-// (1-based: k=1 is a mode representative).
-func (q *keyedQueries[K]) KthLargest(n int) (KeyedEntry[K], error) {
-	e, err := q.profile.KthLargest(n)
-	if err != nil {
-		return KeyedEntry[K]{}, err
-	}
-	return q.entryToKeyed(e), nil
-}
-
-// Median returns the lower-median keyed entry of the frequency multiset over
-// all m slots.
-func (q *keyedQueries[K]) Median() (KeyedEntry[K], error) {
-	e, err := q.profile.Median()
-	if err != nil {
-		return KeyedEntry[K]{}, err
-	}
-	return q.entryToKeyed(e), nil
-}
-
-// Quantile returns the keyed entry at quantile q in [0, 1] of the frequency
-// multiset over all m slots (nearest-rank definition).
-func (q *keyedQueries[K]) Quantile(quant float64) (KeyedEntry[K], error) {
-	e, err := q.profile.Quantile(quant)
-	if err != nil {
-		return KeyedEntry[K]{}, err
-	}
-	return q.entryToKeyed(e), nil
-}
-
-// Majority returns the key holding a strict majority of the total count, if
-// one exists.
-func (q *keyedQueries[K]) Majority() (KeyedEntry[K], bool, error) {
-	e, ok, err := q.profile.Majority()
-	if err != nil || !ok {
-		return KeyedEntry[K]{}, false, err
-	}
-	return q.entryToKeyed(e), true, nil
-}
-
-// Distribution returns the frequency histogram in ascending frequency order.
-func (q *keyedQueries[K]) Distribution() []FreqCount { return q.profile.Distribution() }
-
-// Summarize returns aggregate statistics of the underlying profile.
-func (q *keyedQueries[K]) Summarize() Summary { return q.profile.Summarize() }
-
 // Profile exposes the underlying dense-id profiler for advanced queries
 // (rank lookups, composite queries, snapshots via the Snapshotter
 // capability) as a read-only view: updates through it return ErrReadOnly,
@@ -167,12 +90,36 @@ func (q *keyedQueries[K]) Summarize() Summary { return q.profile.Summarize() }
 // (*ReadOnlyProfiler).Unwrap.
 func (q *keyedQueries[K]) Profile() Profiler { return NewReadOnly(q.profile) }
 
-// translateQueryResult resolves every dense id in a composite query answer
-// back to its key through the resolver. The caller guarantees the resolver
-// cannot change between the statistics and the translation (single
-// goroutine for Keyed, a quiesced mapper for KeyedConcurrent).
-func (q *keyedQueries[K]) translateQueryResult(dr QueryResult) KeyedQueryResult[K] {
+// queryDense answers q on the dense profile through its own Querier
+// capability (see QueryProfiler); no id is translated, so nothing beyond the
+// dense profile's cut is pinned.
+func (q *keyedQueries[K]) queryDense(dq Query) (QueryResult, error) {
+	return QueryProfiler(q.profile, dq)
+}
+
+// answer evaluates a keyed composite query: the dense statistics through
+// the inner profiler's own Querier capability (see QueryProfiler), every
+// dense id in them resolved back to its key, and each requested key's
+// frequency read through count (unknown keys count as zero). The caller
+// pins the cut: the resolver and count must not change while answer runs
+// (single goroutine for Keyed, a quiesced mapper for KeyedConcurrent, one
+// epoch snapshot for AsyncKeyed).
+func (q *keyedQueries[K]) answer(kq KeyedQuery[K], count func(K) (int64, error)) (KeyedQueryResult[K], error) {
+	dr, err := q.queryDense(kq.dense())
+	if err != nil {
+		return KeyedQueryResult[K]{}, err
+	}
 	var out KeyedQueryResult[K]
+	if len(kq.Count) > 0 {
+		out.Counts = make([]KeyedEntry[K], len(kq.Count))
+		for i, key := range kq.Count {
+			f, err := count(key)
+			if err != nil {
+				return KeyedQueryResult[K]{}, err
+			}
+			out.Counts[i] = KeyedEntry[K]{Key: key, Frequency: f}
+		}
+	}
 	if dr.Mode != nil {
 		out.Mode = &KeyedExtreme[K]{KeyedEntry: q.entryToKeyed(dr.Mode.Entry), Ties: dr.Mode.Ties}
 	}
@@ -200,14 +147,7 @@ func (q *keyedQueries[K]) translateQueryResult(dr QueryResult) KeyedQueryResult[
 	}
 	out.Distribution = dr.Distribution
 	out.Summary = dr.Summary
-	return out
-}
-
-// queryDense answers the dense half of a keyed composite query through the
-// inner profiler's own Querier capability when present (it always is for the
-// profiles NewKeyed and BuildKeyed construct).
-func (q *keyedQueries[K]) queryDense(dq Query) (QueryResult, error) {
-	return QueryProfiler(q.profile, dq)
+	return out, nil
 }
 
 // KeyOf resolves a dense id back to its key, when one is assigned.
@@ -268,11 +208,13 @@ func newKeyedOver[K comparable](p Profiler, o keyedOptions) (*Keyed[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Keyed[K]{
+	k := &Keyed[K]{
 		keyedQueries: keyedQueries[K]{profile: p, resolver: ids},
 		ids:          ids,
 		recycle:      o.recycle,
-	}, nil
+	}
+	k.keyedStatViews = keyedStatViews[K]{k}
+	return k, nil
 }
 
 // MustNewKeyed is NewKeyed for callers with a known-good capacity; it panics
@@ -370,22 +312,7 @@ func (k *Keyed[K]) Apply(key K, action Action) error {
 // key. A Keyed profile is single-goroutine, so the whole sequence is one
 // consistent cut by construction.
 func (k *Keyed[K]) QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], error) {
-	dres, err := k.queryDense(q.dense())
-	if err != nil {
-		return KeyedQueryResult[K]{}, err
-	}
-	out := k.translateQueryResult(dres)
-	if len(q.Count) > 0 {
-		out.Counts = make([]KeyedEntry[K], len(q.Count))
-		for i, key := range q.Count {
-			f, err := k.Count(key)
-			if err != nil {
-				return KeyedQueryResult[K]{}, err
-			}
-			out.Counts[i] = KeyedEntry[K]{Key: key, Frequency: f}
-		}
-	}
-	return out, nil
+	return k.answer(q, k.Count)
 }
 
 // Count returns the current frequency of key (zero for unknown keys).

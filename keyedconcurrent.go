@@ -44,18 +44,20 @@ var ErrWALAppend = errors.New("sprofile: event applied but not journaled")
 // hash-distributed keys the stripes stay balanced and the difference from
 // global eviction is marginal.
 //
-// Global queries (Mode, TopK, Median, ...) read the dense profile, which
-// locks its shards internally, and translate ids back to keys afterwards;
-// under concurrent ingestion each answer is a point-in-time snapshot, and a
-// translated key may in rare cases have been recycled between the statistic
-// and the translation. Per-key queries (Count) are stripe-consistent.
+// Global queries that name keys (Mode, TopK, Median, ...) are
+// single-statistic QueryKeys calls: each quiesces the mapper stripes, reads
+// the dense profile and translates ids back to keys under that one cut, so a
+// translated key is never one recycled mid-query. Distribution and Summarize
+// name no key and are plain dense reads. Per-key queries (Count) take only
+// their key's stripe lock.
 //
 // Construct with BuildKeyed. As with Keyed, mutating the underlying Profile()
 // directly desynchronises the bookkeeping and must be avoided.
 type KeyedConcurrent[K comparable] struct {
 	keyedQueries[K]
-	ids     *idmap.Striped[K]
-	recycle bool
+	keyedStatViews[K] // key-naming getters as one-field QueryKeys, each one quiesced cut
+	ids               *idmap.Striped[K]
+	recycle           bool
 	// deltas is the dense profile's DeltaUpdater capability (always present
 	// for the Sharded/Concurrent profiles BuildKeyed constructs); the batch
 	// paths use it to move a key by its net delta in one block walk.
@@ -207,6 +209,7 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 		recycle:      recycle,
 		zeros:        make([]zeroSet[K], ids.NumStripes()),
 	}
+	kc.keyedStatViews = keyedStatViews[K]{kc}
 	kc.deltas, _ = inner.(DeltaUpdater)
 	if recycle {
 		kc.freqs = make([]int64, m)
@@ -572,8 +575,11 @@ func (k *KeyedConcurrent[K]) Apply(key K, action Action) error {
 // mapper stripe lock is held for the duration (writers wait, readers of
 // other structures proceed), so the dense statistics, the per-key counts and
 // the id→key translation all describe the same instant — a translated key
-// can never have been recycled between a statistic and its resolution, which
-// the individual getters cannot promise under concurrent ingest.
+// can never have been recycled between a statistic and its resolution. The
+// single-statistic getters that name keys (Mode, TopK, Median, ...) are
+// one-field QueryKeys calls, so each of them quiesces the stripes too;
+// Distribution and Summarize name no key and read the dense profile's own
+// cut, and Count, Cap and Total do not quiesce either.
 //
 // The dense evaluation itself runs through the inner profile's own Querier
 // (one lock acquisition on Concurrent, one merged cut on Sharded); with
@@ -582,31 +588,15 @@ func (k *KeyedConcurrent[K]) QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], er
 	var out KeyedQueryResult[K]
 	var err error
 	k.ids.Quiesce(func() {
-		var dres QueryResult
-		dres, err = k.queryDense(q.dense())
-		if err != nil {
-			return
-		}
-		out = k.translateQueryResult(dres)
-		if len(q.Count) == 0 {
-			return
-		}
-		out.Counts = make([]KeyedEntry[K], len(q.Count))
-		for i, key := range q.Count {
-			var f int64
+		out, err = k.answer(q, func(key K) (int64, error) {
 			// LookupLocked, not DenseID: the stripe locks are already held.
 			if id, ok := k.ids.LookupLocked(key); ok {
-				if f, err = k.profile.Count(id); err != nil {
-					return
-				}
+				return k.profile.Count(id)
 			}
-			out.Counts[i] = KeyedEntry[K]{Key: key, Frequency: f}
-		}
+			return 0, nil
+		})
 	})
-	if err != nil {
-		return KeyedQueryResult[K]{}, err
-	}
-	return out, nil
+	return out, err
 }
 
 // KeyedTuple is one keyed log event — the key-addressed counterpart of

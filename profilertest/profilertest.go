@@ -124,8 +124,11 @@ func testArgValidation(t *testing.T, factory Factory) {
 		}
 	}
 
-	if _, err := p.Quantile(math.NaN()); !errors.Is(err, sprofile.ErrOutOfRange) {
-		t.Errorf("Quantile(NaN) = %v, want ErrOutOfRange", err)
+	// A getter reports its argument's class alone: ErrInvalidQuery marks
+	// malformed composite queries only, and error-code mappers test it
+	// before ErrOutOfRange.
+	if _, err := p.Quantile(math.NaN()); !errors.Is(err, sprofile.ErrOutOfRange) || errors.Is(err, sprofile.ErrInvalidQuery) {
+		t.Errorf("Quantile(NaN) = %v, want ErrOutOfRange and not ErrInvalidQuery", err)
 	}
 	lo, err := p.Quantile(0)
 	if err != nil {
@@ -152,8 +155,8 @@ func testArgValidation(t *testing.T, factory Factory) {
 	}
 
 	for _, k := range []int{0, -1, 10, 1 << 20} {
-		if _, err := p.KthLargest(k); !errors.Is(err, sprofile.ErrBadRank) || !errors.Is(err, sprofile.ErrOutOfRange) {
-			t.Errorf("KthLargest(%d) = %v, want ErrBadRank (ErrOutOfRange)", k, err)
+		if _, err := p.KthLargest(k); !errors.Is(err, sprofile.ErrBadRank) || !errors.Is(err, sprofile.ErrOutOfRange) || errors.Is(err, sprofile.ErrInvalidQuery) {
+			t.Errorf("KthLargest(%d) = %v, want ErrBadRank (ErrOutOfRange) and not ErrInvalidQuery", k, err)
 		}
 	}
 	if got := p.TopK(0); got != nil {

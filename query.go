@@ -47,6 +47,11 @@ type MajorityEntry = core.MajorityEntry
 //   - the keyed variants answer KeyedQuery through QueryKeys (Keyed
 //     single-goroutine, KeyedConcurrent from one quiesced cut).
 //
+// The wrappers' single-statistic getters (Mode, TopK, Median, ...) are views
+// of this capability: each is a Query (or QueryKeys) with one field
+// selected, answered from the same cut. The keyed Distribution and Summarize
+// name no key and are one-field Queries on the dense profile.
+//
 // For a Profiler of unknown concrete type, use QueryProfiler, which falls
 // back to a Snapshotter-based consistent cut when the capability is absent.
 type Querier interface {
@@ -168,11 +173,16 @@ func QueryProfiler(p Profiler, q Query) (QueryResult, error) {
 // with the key table. Snapshotter and Querier capabilities of the underlying
 // profiler pass through.
 type ReadOnlyProfiler struct {
-	p Profiler
+	statViews // getters as one-field Queries on the underlying cut
+	p         Profiler
 }
 
 // NewReadOnly wraps p in a read-only view.
-func NewReadOnly(p Profiler) *ReadOnlyProfiler { return &ReadOnlyProfiler{p: p} }
+func NewReadOnly(p Profiler) *ReadOnlyProfiler {
+	r := &ReadOnlyProfiler{p: p}
+	r.statViews = statViews{r}
+	return r
+}
 
 // Unwrap returns the underlying writable profiler. It is the explicit escape
 // hatch for callers that genuinely need to mutate (and accept the
@@ -193,39 +203,6 @@ func (r *ReadOnlyProfiler) ApplyAll(tuples []Tuple) (int, error) { return 0, Err
 
 // Count returns the current frequency of object x.
 func (r *ReadOnlyProfiler) Count(x int) (int64, error) { return r.p.Count(x) }
-
-// Mode returns an object with maximum frequency, that frequency, and how
-// many objects share it.
-func (r *ReadOnlyProfiler) Mode() (Entry, int, error) { return r.p.Mode() }
-
-// Min returns an object with minimum frequency, that frequency, and how many
-// objects share it.
-func (r *ReadOnlyProfiler) Min() (Entry, int, error) { return r.p.Min() }
-
-// TopK returns the k most frequent entries.
-func (r *ReadOnlyProfiler) TopK(k int) []Entry { return r.p.TopK(k) }
-
-// BottomK returns the k least frequent entries.
-func (r *ReadOnlyProfiler) BottomK(k int) []Entry { return r.p.BottomK(k) }
-
-// KthLargest returns the entry holding the k-th largest frequency.
-func (r *ReadOnlyProfiler) KthLargest(k int) (Entry, error) { return r.p.KthLargest(k) }
-
-// Median returns the lower-median entry of the frequency multiset.
-func (r *ReadOnlyProfiler) Median() (Entry, error) { return r.p.Median() }
-
-// Quantile returns the entry at quantile q in [0, 1].
-func (r *ReadOnlyProfiler) Quantile(q float64) (Entry, error) { return r.p.Quantile(q) }
-
-// Majority returns the object holding a strict majority of the total count,
-// if one exists.
-func (r *ReadOnlyProfiler) Majority() (Entry, bool, error) { return r.p.Majority() }
-
-// Distribution returns the frequency histogram.
-func (r *ReadOnlyProfiler) Distribution() []FreqCount { return r.p.Distribution() }
-
-// Summarize returns aggregate statistics of the profile.
-func (r *ReadOnlyProfiler) Summarize() Summary { return r.p.Summarize() }
 
 // Cap returns the number of object slots.
 func (r *ReadOnlyProfiler) Cap() int { return r.p.Cap() }

@@ -2,6 +2,7 @@ package sprofile_test
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,5 +288,29 @@ func TestTimeWindowQueryAt(t *testing.T) {
 	res, err = w.QueryAt(time.Unix(2000, 0), sprofile.Query{Summary: true})
 	if err != nil || res.Summary.Total != 0 {
 		t.Fatalf("post-expiry query = (%+v, %v), want total 0", res.Summary, err)
+	}
+}
+
+// TestDerivedQuantileEmptyFirst pins the order the derived Quantile getters
+// share with Profile.Quantile: on an empty profile a NaN argument reports
+// ErrEmptyProfile, though a composite Query checks the argument first.
+func TestDerivedQuantileEmptyFirst(t *testing.T) {
+	c, err := sprofile.NewConcurrent(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := sprofile.NewKeyed[string](0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dense := c.Quantile(math.NaN())
+	_, keyed := k.Quantile(math.NaN())
+	for name, err := range map[string]error{"Concurrent": dense, "Keyed": keyed} {
+		if !errors.Is(err, sprofile.ErrEmptyProfile) {
+			t.Errorf("%s.Quantile(NaN) on an empty profile = %v, want ErrEmptyProfile", name, err)
+		}
+	}
+	if _, err := c.Query(sprofile.Query{Quantiles: []float64{math.NaN()}}); !errors.Is(err, sprofile.ErrInvalidQuery) {
+		t.Errorf("Query(Quantiles: NaN) on an empty profile = %v, want ErrInvalidQuery", err)
 	}
 }

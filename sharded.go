@@ -18,9 +18,11 @@ import (
 // Extreme queries (Mode, Min) combine the shards' O(1) answers. Rank queries
 // (KthLargest, Median, Quantile) and Distribution merge the shards' frequency
 // histograms, costing O(total number of distinct frequencies) — still far
-// below O(m), but no longer constant; take a Snapshot first if many rank
-// queries must be answered against one consistent state.
+// below O(m), but no longer constant. A composite Query answers many rank
+// statistics from one merge under one cut; each single-statistic getter is
+// such a Query with one field selected.
 type Sharded struct {
+	statViews // getters as one-field Queries, each one merged cut
 	shards    []shardedShard
 	shardSize int
 	m         int
@@ -65,6 +67,7 @@ func NewSharded(m, numShards int, opts ...Option) (*Sharded, error) {
 		shardSize = 1
 	}
 	s := &Sharded{shardSize: shardSize, m: m}
+	s.statViews = statViews{s}
 	for base := 0; base < m || (m == 0 && base == 0); base += shardSize {
 		size := shardSize
 		if base+size > m {
@@ -359,34 +362,27 @@ func (s *Sharded) lockAll() func() {
 	}
 }
 
-// Mode returns an object with the maximum frequency, that frequency, and how
-// many objects share it, by combining each shard's O(1) answer.
-func (s *Sharded) Mode() (Entry, int, error) {
-	if s.m == 0 {
-		return Entry{}, 0, ErrEmptyProfile
-	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.modeLocked()
-}
-
-func (s *Sharded) modeLocked() (Entry, int, error) {
+// extremeLocked combines each shard's O(1) mode (top) or minimum into the
+// global one and its tie count; the caller holds lockAll.
+func (s *Sharded) extremeLocked(top bool) (Entry, int, error) {
 	var best Entry
 	ties := 0
 	found := false
 	for i := range s.shards {
 		sh := &s.shards[i]
-		e, shardTies, err := sh.p.Mode()
+		extreme := sh.p.Min
+		if top {
+			extreme = sh.p.Mode
+		}
+		e, shardTies, err := extreme()
 		if err != nil {
 			continue
 		}
-		globalEntry := Entry{Object: e.Object + sh.base, Frequency: e.Frequency}
+		e.Object += sh.base
 		switch {
-		case !found || globalEntry.Frequency > best.Frequency:
-			best = globalEntry
-			ties = shardTies
-			found = true
-		case globalEntry.Frequency == best.Frequency:
+		case !found || (top && e.Frequency > best.Frequency) || (!top && e.Frequency < best.Frequency):
+			best, ties, found = e, shardTies, true
+		case e.Frequency == best.Frequency:
 			ties += shardTies
 		}
 	}
@@ -396,51 +392,9 @@ func (s *Sharded) modeLocked() (Entry, int, error) {
 	return best, ties, nil
 }
 
-// Min returns an object with the minimum frequency, that frequency, and how
-// many objects share it.
-func (s *Sharded) Min() (Entry, int, error) {
-	if s.m == 0 {
-		return Entry{}, 0, ErrEmptyProfile
-	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.minLocked()
-}
-
-func (s *Sharded) minLocked() (Entry, int, error) {
-	var best Entry
-	ties := 0
-	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		e, shardTies, err := sh.p.Min()
-		if err != nil {
-			continue
-		}
-		globalEntry := Entry{Object: e.Object + sh.base, Frequency: e.Frequency}
-		switch {
-		case !found || globalEntry.Frequency < best.Frequency:
-			best = globalEntry
-			ties = shardTies
-			found = true
-		case globalEntry.Frequency == best.Frequency:
-			ties += shardTies
-		}
-	}
-	if !found {
-		return Entry{}, 0, ErrEmptyProfile
-	}
-	return best, ties, nil
-}
-
-// Distribution returns the global frequency histogram in ascending frequency
-// order, merging the shards' histograms. Cost O(total distinct frequencies).
-func (s *Sharded) Distribution() []FreqCount {
-	unlock := s.lockAll()
-	defer unlock()
-	return s.distributionLocked()
-}
-
+// distributionLocked merges the shard histograms into the global frequency
+// histogram in ascending frequency order. Cost O(total distinct
+// frequencies); the caller holds lockAll.
 func (s *Sharded) distributionLocked() []FreqCount {
 	merged := make(map[int64]int)
 	for i := range s.shards {
@@ -502,80 +456,21 @@ func (s *Sharded) atRankLocked(r int, dist []FreqCount) (Entry, error) {
 	return Entry{}, fmt.Errorf("sprofile: internal error: no shard holds rank %d", r) //lint:allow errtaxonomy
 }
 
-// KthLargest returns an object holding the k-th largest frequency (1-based).
-func (s *Sharded) KthLargest(k int) (Entry, error) {
-	if k < 1 || k > s.m {
-		return Entry{}, fmt.Errorf("%w: k %d, capacity %d", ErrBadRank, k, s.m)
-	}
-	return s.AtRank(s.m - k)
-}
-
-// Median returns the lower-median entry of the global frequency multiset.
-func (s *Sharded) Median() (Entry, error) {
-	if s.m == 0 {
-		return Entry{}, ErrEmptyProfile
-	}
-	return s.AtRank((s.m - 1) / 2)
-}
-
-// Quantile returns the entry at quantile q in [0, 1] of the global frequency
-// multiset. The rank is computed by core.QuantileRank, the same nearest-rank
-// mapping Profile.Quantile uses, so a sharded profile and a plain profile
-// over the same stream always answer identically. Finite q outside [0, 1] is
-// clamped; NaN is an error.
-func (s *Sharded) Quantile(q float64) (Entry, error) {
-	if s.m == 0 {
-		return Entry{}, ErrEmptyProfile
-	}
-	if err := core.CheckQuantile(q); err != nil {
-		return Entry{}, err
-	}
-	return s.AtRank(core.QuantileRank(q, s.m))
-}
-
-// Majority returns the object holding a strict majority of the total count,
-// if one exists. The mode and the total are read under one global read lock
-// so the comparison sees a single consistent state.
-func (s *Sharded) Majority() (Entry, bool, error) {
-	if s.m == 0 {
-		return Entry{}, false, ErrEmptyProfile
-	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.majorityLocked()
-}
-
+// majorityLocked compares the global mode with the global total, both read
+// under the caller's lockAll, so the test sees one consistent state.
 func (s *Sharded) majorityLocked() (Entry, bool, error) {
-	var best Entry
-	var total int64
-	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		total += sh.p.Total()
-		e, _, err := sh.p.Mode()
-		if err != nil {
-			continue
-		}
-		if !found || e.Frequency > best.Frequency {
-			best = Entry{Object: e.Object + sh.base, Frequency: e.Frequency}
-			found = true
-		}
+	best, _, err := s.extremeLocked(true)
+	if err != nil {
+		return Entry{}, false, err
 	}
-	if !found {
-		return Entry{}, false, ErrEmptyProfile
+	var total int64
+	for i := range s.shards {
+		total += s.shards[i].p.Total()
 	}
 	if total > 0 && best.Frequency*2 > total {
 		return best, true, nil
 	}
 	return Entry{}, false, nil
-}
-
-// Summarize returns aggregate statistics of the whole profile, merging every
-// shard's summary under one global read lock.
-func (s *Sharded) Summarize() Summary {
-	unlock := s.lockAll()
-	defer unlock()
-	return s.summarizeLocked(s.distributionLocked())
 }
 
 // summarizeLocked merges the shard summaries against an already-merged
@@ -602,78 +497,33 @@ func (s *Sharded) summarizeLocked(dist []FreqCount) Summary {
 	return sum
 }
 
-// TopK returns the k globally most frequent entries in non-increasing
-// frequency order, merging each shard's top-k list. Cost O(shards·k).
-func (s *Sharded) TopK(k int) []Entry {
+// rankKLocked merges each shard's top-k (top) or bottom-k list into the k
+// globally most or least frequent entries, ties broken by ascending object
+// id. Cost O(shards·k); the caller holds lockAll.
+func (s *Sharded) rankKLocked(k int, top bool) []Entry {
 	if k <= 0 || s.m == 0 {
 		return nil
 	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.topKLocked(k)
-}
-
-func (s *Sharded) topKLocked(k int) []Entry {
-	if k <= 0 || s.m == 0 {
-		return nil
-	}
-	if k > s.m {
-		k = s.m
-	}
+	k = min(k, s.m)
 	candidates := make([]Entry, 0, k*len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
-		for _, e := range sh.p.TopK(k) {
+		local := sh.p.BottomK
+		if top {
+			local = sh.p.TopK
+		}
+		for _, e := range local(k) {
 			candidates = append(candidates, Entry{Object: e.Object + sh.base, Frequency: e.Frequency})
 		}
 	}
 	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Frequency != candidates[j].Frequency {
-			return candidates[i].Frequency > candidates[j].Frequency
+		a, b := candidates[i], candidates[j]
+		if a.Frequency != b.Frequency {
+			return (a.Frequency > b.Frequency) == top
 		}
-		return candidates[i].Object < candidates[j].Object
+		return a.Object < b.Object
 	})
-	if len(candidates) > k {
-		candidates = candidates[:k]
-	}
-	return candidates
-}
-
-// BottomK returns the k globally least frequent entries in non-decreasing
-// frequency order, merging each shard's bottom-k list. Cost O(shards·k).
-func (s *Sharded) BottomK(k int) []Entry {
-	if k <= 0 || s.m == 0 {
-		return nil
-	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.bottomKLocked(k)
-}
-
-func (s *Sharded) bottomKLocked(k int) []Entry {
-	if k <= 0 || s.m == 0 {
-		return nil
-	}
-	if k > s.m {
-		k = s.m
-	}
-	candidates := make([]Entry, 0, k*len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for _, e := range sh.p.BottomK(k) {
-			candidates = append(candidates, Entry{Object: e.Object + sh.base, Frequency: e.Frequency})
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Frequency != candidates[j].Frequency {
-			return candidates[i].Frequency < candidates[j].Frequency
-		}
-		return candidates[i].Object < candidates[j].Object
-	})
-	if len(candidates) > k {
-		candidates = candidates[:k]
-	}
-	return candidates
+	return candidates[:min(k, len(candidates))]
 }
 
 // Query answers a composite query atomically from one merged cut: every
@@ -712,24 +562,24 @@ func (s *Sharded) Query(q Query) (QueryResult, error) {
 		}
 	}
 	if q.Mode {
-		e, ties, err := s.modeLocked()
+		e, ties, err := s.extremeLocked(true)
 		if err != nil {
 			return QueryResult{}, err
 		}
 		res.Mode = &Extreme{Entry: e, Ties: ties}
 	}
 	if q.Min {
-		e, ties, err := s.minLocked()
+		e, ties, err := s.extremeLocked(false)
 		if err != nil {
 			return QueryResult{}, err
 		}
 		res.Min = &Extreme{Entry: e, Ties: ties}
 	}
 	if q.TopK > 0 {
-		res.TopK = s.topKLocked(q.TopK)
+		res.TopK = s.rankKLocked(q.TopK, true)
 	}
 	if q.BottomK > 0 {
-		res.BottomK = s.bottomKLocked(q.BottomK)
+		res.BottomK = s.rankKLocked(q.BottomK, false)
 	}
 	if len(q.KthLargest) > 0 {
 		res.KthLargest = make([]Entry, len(q.KthLargest))
@@ -827,6 +677,7 @@ func (s *Sharded) cloneShard(idx int) *core.Profile {
 // one per publish epoch.
 func newShardedView(template *Sharded, snaps []*core.Profile) *Sharded {
 	v := &Sharded{shardSize: template.shardSize, m: template.m}
+	v.statViews = statViews{v}
 	v.shards = make([]shardedShard, len(snaps))
 	for i := range snaps {
 		v.shards[i].p = snaps[i]

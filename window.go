@@ -7,11 +7,14 @@ import (
 )
 
 // windowReader supplies the Reader half of the Profiler contract for both
-// window adapters by delegating every query to the windowed profile, so the
-// thirteen-method surface is written once.
+// window adapters: the single-statistic getters are views of the windowed
+// profile's Query, and Count, Cap and Total read it directly.
 type windowReader struct {
+	statViews
 	p *Profile
 }
+
+func newWindowReader(p *Profile) windowReader { return windowReader{statViews: statViews{p}, p: p} }
 
 // Profile returns the windowed profile for advanced queries (rank lookups,
 // snapshots). The common statistics are available on the adapter directly.
@@ -19,40 +22,6 @@ func (r windowReader) Profile() *Profile { return r.p }
 
 // Count returns the frequency of object x inside the window.
 func (r windowReader) Count(x int) (int64, error) { return r.p.Count(x) }
-
-// Mode returns an object with maximum in-window frequency, that frequency,
-// and how many objects share it.
-func (r windowReader) Mode() (Entry, int, error) { return r.p.Mode() }
-
-// Min returns an object with minimum in-window frequency, that frequency,
-// and how many objects share it.
-func (r windowReader) Min() (Entry, int, error) { return r.p.Min() }
-
-// TopK returns the k most frequent in-window entries.
-func (r windowReader) TopK(k int) []Entry { return r.p.TopK(k) }
-
-// BottomK returns the k least frequent in-window entries.
-func (r windowReader) BottomK(k int) []Entry { return r.p.BottomK(k) }
-
-// KthLargest returns the entry holding the k-th largest in-window frequency.
-func (r windowReader) KthLargest(k int) (Entry, error) { return r.p.KthLargest(k) }
-
-// Median returns the lower-median entry of the in-window frequency multiset.
-func (r windowReader) Median() (Entry, error) { return r.p.Median() }
-
-// Quantile returns the entry at quantile q in [0, 1] of the in-window
-// frequency multiset.
-func (r windowReader) Quantile(q float64) (Entry, error) { return r.p.Quantile(q) }
-
-// Majority returns the object holding a strict majority of the in-window
-// total, if one exists.
-func (r windowReader) Majority() (Entry, bool, error) { return r.p.Majority() }
-
-// Distribution returns the in-window frequency histogram.
-func (r windowReader) Distribution() []FreqCount { return r.p.Distribution() }
-
-// Summarize returns aggregate statistics of the windowed profile.
-func (r windowReader) Summarize() Summary { return r.p.Summarize() }
 
 // Query answers a composite query in one pass over the windowed profile,
 // which reflects exactly the expiry sweep of the newest push: every selected
@@ -86,7 +55,7 @@ func NewWindow(p *Profile, size int) (*Window, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Window{inner: w, windowReader: windowReader{p: p}}, nil
+	return &Window{inner: w, windowReader: newWindowReader(p)}, nil
 }
 
 // MustNewWindow is NewWindow for callers with known-good arguments; it panics
@@ -156,7 +125,7 @@ func NewTimeWindow(p *Profile, span time.Duration) (*TimeWindow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TimeWindow{inner: w, windowReader: windowReader{p: p}}, nil
+	return &TimeWindow{inner: w, windowReader: newWindowReader(p)}, nil
 }
 
 // MustNewTimeWindow is NewTimeWindow for callers with known-good arguments;
