@@ -128,6 +128,46 @@ func TestBulkRejectsBadLines(t *testing.T) {
 	}
 }
 
+// silentDropCases are event bodies encoding/json used to accept in part,
+// reading the first value of the line and ignoring the rest: each one must
+// now be refused whole. array is the /v1/events array form of the same
+// defect; empty means "[" + line + "]".
+var silentDropCases = []struct{ name, line, array string }{
+	{"two concatenated objects",
+		`{"object":"a","action":"add"}{"object":"b","action":"add"}`,
+		`[{"object":"a","action":"add"}][{"object":"b","action":"add"}]`},
+	{"trailing garbage",
+		`{"object":"a","action":"add"} garbage`,
+		`[{"object":"a","action":"add"}] garbage`},
+	{"duplicate object key", `{"object":"a","object":"b","action":"add"}`, ""},
+	{"case-folded Object", `{"Object":"a","action":"add"}`, ""},
+	{"case-folded ACTION", `{"object":"a","ACTION":"add"}`, ""},
+	{"non-string value", `{"object":"a","action":"add","action":null}`, ""},
+}
+
+// TestBulkRejectsSilentDrops: a line holding anything but exactly one
+// well-formed event is a 400 naming the line, and rejects its whole pending
+// chunk, so neither the valid line before it nor any part of it is applied.
+func TestBulkRejectsSilentDrops(t *testing.T) {
+	ts := newTestServer(t, 100)
+	for _, tc := range silentDropCases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, out := postBulk(t, ts, `{"object":"c","action":"add"}`+"\n"+tc.line+"\n")
+			if resp.StatusCode != http.StatusBadRequest || out.Applied != 0 {
+				t.Fatalf("status %d applied %d (%s), want 400 with nothing applied", resp.StatusCode, out.Applied, out.Error)
+			}
+			if !strings.Contains(out.Error, "line 2") {
+				t.Fatalf("error %q does not name line 2", out.Error)
+			}
+		})
+	}
+	var summary map[string]any
+	getJSON(t, ts, "/v1/stats/summary", &summary)
+	if summary["total"].(float64) != 0 {
+		t.Fatalf("summary after rejected bodies = %+v, want total 0", summary)
+	}
+}
+
 func TestBulkRemoveUnknownKey(t *testing.T) {
 	ts := newTestServer(t, 100)
 	resp, out := postBulk(t, ts, `{"object":"ghost","action":"remove"}`)

@@ -337,6 +337,14 @@ func TestFailpointAdminEndpoint(t *testing.T) {
 		t.Fatalf("bad spec = %d, want 400", resp.StatusCode)
 	}
 
+	// So is anything after the request document; the site stays armed.
+	if resp, _ := postJSON(t, ts.URL+"/v1/admin/failpoint", `{"site":"wal.sync","spec":"off"} x`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trailing data = %d, want 400", resp.StatusCode)
+	}
+	if got := failpoint.List(); len(got) != 1 {
+		t.Fatalf("failpoints after a rejected disarm: %+v", got)
+	}
+
 	// DELETE disarms everything.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/failpoint", nil)
 	dresp, err := http.DefaultClient.Do(req)

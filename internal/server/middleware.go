@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -142,13 +141,8 @@ func (s *Server) handleFailpoint(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, sites)
 	case http.MethodPost:
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
-			return
-		}
 		var req failpointRequest
-		if err := strictDecode(body, &req); err != nil {
+		if err := strictDecode(r.Body, &req); err != nil {
 			writeError(w, http.StatusBadRequest, "invalid failpoint request: %v", err)
 			return
 		}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -31,9 +30,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var q sprofile.KeyedQuery[string]
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
+	if err := strictDecode(r.Body, &q); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid query document: %v", err)
 		return
 	}

@@ -110,6 +110,14 @@ func TestQueryEndpointErrors(t *testing.T) {
 		t.Fatalf("unknown field: %d %+v", resp.StatusCode, errRes)
 	}
 
+	// So is anything after the query document.
+	for _, body := range []string{`{"mode": true} {"top_k": 1}`, `{"mode": true} x`} {
+		resp, _, errRes = postQuery(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest || errRes.Code != "bad_request" {
+			t.Fatalf("trailing data %q: %d %+v", body, resp.StatusCode, errRes)
+		}
+	}
+
 	// A malformed selection is invalid_query.
 	resp, _, errRes = postQuery(t, ts, `{"top_k": -1}`)
 	if resp.StatusCode != http.StatusBadRequest || errRes.Code != "invalid_query" {

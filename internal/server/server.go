@@ -37,7 +37,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -446,12 +445,6 @@ func (s *Server) routes() {
 	s.registerReplicationRoutes()
 }
 
-// Event is the JSON wire form of one log tuple.
-type Event struct {
-	Object string `json:"object"`
-	Action string `json:"action"`
-}
-
 // eventsResponse reports how a POST /v1/events batch was processed.
 type eventsResponse struct {
 	Applied int    `json:"applied"`
@@ -762,47 +755,51 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"flushed": true})
 }
 
-// decodeEvents accepts either a single {object, action} event or a JSON
-// array of them, as the package doc promises. The body is buffered first so
-// the two forms can be distinguished by their leading token.
-func decodeEvents(r *http.Request, maxBatch int) ([]Event, error) {
-	body, err := io.ReadAll(r.Body)
+// decodeEvents decodes a POST /v1/events body: either a single
+// {object, action} event or a JSON array of them, as the package doc
+// promises, told apart by the leading token. A syntax error fails the whole
+// body; invalid is the first well-formed event the profile refuses, and
+// events holds the events before it.
+func decodeEvents(d *eventDecoder, body []byte, maxBatch int, out []sprofile.KeyedTuple[string]) (events []sprofile.KeyedTuple[string], invalid, err error) {
+	if i := skipSpace(body, 0); i < len(body) && body[i] == '[' {
+		events, invalid, err = d.array(body, maxBatch, out)
+		if err != nil {
+			return events, nil, fmt.Errorf("invalid event array: %w", err)
+		}
+		return events, invalid, nil
+	}
+	ev, invalid, err := d.one(body)
 	if err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
+		return out, nil, fmt.Errorf("body must be one {object, action} event or a JSON array of them: %w", err)
 	}
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var batch []Event
-		if err := strictDecode(trimmed, &batch); err != nil {
-			return nil, fmt.Errorf("invalid event array: %w", err)
-		}
-		if len(batch) > maxBatch {
-			return nil, fmt.Errorf("%w: batch of %d events exceeds limit %d", sprofile.ErrOutOfRange, len(batch), maxBatch)
-		}
-		return batch, nil
+	if invalid != nil {
+		return out, invalid, nil
 	}
-	var single Event
-	if err := strictDecode(trimmed, &single); err != nil {
-		return nil, fmt.Errorf("body must be one {object, action} event or a JSON array of them: %w", err)
-	}
-	return []Event{single}, nil
+	return append(out, ev), nil, nil
 }
 
-// strictDecode unmarshals data into v, rejecting unknown fields.
-func strictDecode(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
+// strictDecode decodes the one JSON document r holds into v, rejecting
+// unknown fields and anything but whitespace after the document.
+func strictDecode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("%w: unexpected data after the document", errMalformed)
+	}
+	return nil
 }
 
-func parseAction(s string) (sprofile.Action, error) {
-	switch s {
+func parseAction(b []byte) (sprofile.Action, error) {
+	switch string(b) {
 	case "add", "+", "1":
 		return sprofile.ActionAdd, nil
 	case "remove", "-", "-1":
 		return sprofile.ActionRemove, nil
 	default:
-		return 0, fmt.Errorf("%w: unknown action %q (want \"add\" or \"remove\")", sprofile.ErrInvalidAction, s)
+		return 0, fmt.Errorf("%w: unknown action %q (want \"add\" or \"remove\")", sprofile.ErrInvalidAction, b)
 	}
 }
 
@@ -814,23 +811,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) || s.rejectDegraded(w) {
 		return
 	}
-	events, err := decodeEvents(r, s.maxBatch)
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		return
+	}
+	sc := bulkPool.Get().(*bulkScratch)
+	defer putBulkScratch(sc)
+	events, invalid, err := decodeEvents(&sc.dec, body, s.maxBatch, sc.events)
+	sc.events = events
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	applied := 0
 	for _, e := range events {
-		if err := checkObject(e.Object); err != nil {
-			writeJSON(w, http.StatusBadRequest, eventsResponse{Applied: applied, Error: err.Error(), Code: "bad_request"})
-			return
-		}
-		action, err := parseAction(e.Action)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, eventsResponse{Applied: applied, Error: err.Error(), Code: "invalid_action"})
-			return
-		}
-		if err := s.keyed().Apply(e.Object, action); err != nil {
+		if err := s.keyed().Apply(e.Key, e.Action); err != nil {
 			status, code := errorCode(err)
 			resp := eventsResponse{Applied: applied, Error: err.Error(), Code: code}
 			if errors.Is(err, sprofile.ErrWALAppend) {
@@ -842,6 +838,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		applied++
+	}
+	if invalid != nil {
+		code := "bad_request"
+		if errors.Is(invalid, sprofile.ErrInvalidAction) {
+			code = "invalid_action"
+		}
+		writeJSON(w, http.StatusBadRequest, eventsResponse{Applied: applied, Error: invalid.Error(), Code: code})
+		return
 	}
 	// In async mode Applied means accepted-and-enqueued: the appliers fsync
 	// per drained batch, and stream-dependent errors surface on
@@ -859,18 +863,31 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, eventsResponse{Applied: applied})
 }
 
-// bulkScratch is the pooled per-request buffer set of the bulk endpoint:
-// the line scanner's initial buffer and the event chunk handed to
-// ApplyBatch. Pooling keeps the streaming decode free of per-event
-// allocations (the decoded key strings themselves are the only per-event
-// cost, and only new keys are retained by the profile).
+// bulkScratch is the pooled per-request buffer set of both ingest routes:
+// the line scanner's initial buffer, the event decoder's unescape buffer
+// and the event chunk handed to ApplyBatch. Pooling keeps the decode free
+// of per-event allocations (the decoded key strings themselves are the only
+// per-event cost, and only new keys are retained by the profile).
 type bulkScratch struct {
 	line   []byte
+	dec    eventDecoder
 	events []sprofile.KeyedTuple[string]
 }
 
 var bulkPool = sync.Pool{
 	New: func() any { return &bulkScratch{line: make([]byte, 64<<10)} },
+}
+
+func putBulkScratch(sc *bulkScratch) {
+	// Zero the full backing array, not just the live prefix — the bulk
+	// flush truncates after each chunk, so the pooled capacity would
+	// otherwise keep pinning the last flushed chunk's key strings.
+	clear(sc.events[:cap(sc.events)])
+	sc.events = sc.events[:0]
+	if cap(sc.dec.buf) > maxPooledUnescape {
+		sc.dec.buf = nil
+	}
+	bulkPool.Put(sc)
 }
 
 // maxBulkLine bounds one NDJSON line. It is deliberately larger than the
@@ -912,14 +929,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := bulkPool.Get().(*bulkScratch)
-	defer func() {
-		// Zero the full backing array, not just the live prefix — flush()
-		// truncates after each chunk, so the pooled capacity would otherwise
-		// keep pinning the last flushed chunk's key strings.
-		clear(sc.events[:cap(sc.events)])
-		sc.events = sc.events[:0]
-		bulkPool.Put(sc)
-	}()
+	defer putBulkScratch(sc)
 	scanner := bufio.NewScanner(r.Body)
 	scanner.Buffer(sc.line, maxBulkLine)
 
@@ -936,25 +946,19 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	}
 	for scanner.Scan() {
 		lineNo++
-		data := bytes.TrimSpace(scanner.Bytes())
-		if len(data) == 0 {
+		data := scanner.Bytes()
+		if skipSpace(data, 0) == len(data) {
 			continue
 		}
-		var e Event
-		if err := strictDecode(data, &e); err != nil {
-			fail(http.StatusBadRequest, "line %d: %v", lineNo, err)
-			return
+		ev, invalid, err := sc.dec.one(data)
+		if err == nil {
+			err = invalid
 		}
-		if err := checkObject(e.Object); err != nil {
-			fail(http.StatusBadRequest, "line %d: %v", lineNo, err)
-			return
-		}
-		action, err := parseAction(e.Action)
 		if err != nil {
 			fail(http.StatusBadRequest, "line %d: %v", lineNo, err)
 			return
 		}
-		sc.events = append(sc.events, sprofile.KeyedTuple[string]{Key: e.Object, Action: action})
+		sc.events = append(sc.events, ev)
 		if len(sc.events) >= s.maxBatch {
 			if err := flush(); err != nil {
 				s.writeBulkApplyError(w, applied, err)

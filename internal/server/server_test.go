@@ -211,6 +211,31 @@ func TestSingleEventForm(t *testing.T) {
 	}
 }
 
+// TestEventsRejectSilentDrops: both /v1/events forms refuse a body that is
+// not exactly one event or one array of events, applying nothing.
+func TestEventsRejectSilentDrops(t *testing.T) {
+	ts := newTestServer(t, 100)
+	for _, tc := range silentDropCases {
+		array := tc.array
+		if array == "" {
+			array = "[" + tc.line + "]"
+		}
+		for form, body := range map[string]string{"single": tc.line, "array": array} {
+			t.Run(tc.name+"/"+form, func(t *testing.T) {
+				resp, out := postEvents(t, ts, body)
+				if resp.StatusCode != http.StatusBadRequest || out.Applied != 0 {
+					t.Fatalf("status %d applied %d (%s), want 400 with nothing applied", resp.StatusCode, out.Applied, out.Error)
+				}
+			})
+		}
+	}
+	var summary map[string]any
+	getJSON(t, ts, "/v1/stats/summary", &summary)
+	if summary["total"].(float64) != 0 {
+		t.Fatalf("summary after rejected bodies = %+v, want total 0", summary)
+	}
+}
+
 func TestMinBottomMajority(t *testing.T) {
 	ts := newTestServer(t, 4)
 	resp, out := postEvents(t, ts, `[

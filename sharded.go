@@ -393,21 +393,39 @@ func (s *Sharded) extremeLocked(top bool) (Entry, int, error) {
 }
 
 // distributionLocked merges the shard histograms into the global frequency
-// histogram in ascending frequency order. Cost O(total distinct
-// frequencies); the caller holds lockAll.
+// histogram in ascending frequency order. Each shard's histogram is already
+// ascending, so this is a k-way merge: O(total distinct frequencies x
+// shards), with no hashing or sorting. The caller holds lockAll.
 func (s *Sharded) distributionLocked() []FreqCount {
-	merged := make(map[int64]int)
+	if len(s.shards) == 1 {
+		return s.shards[0].p.Distribution()
+	}
+	heads := make([][]FreqCount, len(s.shards))
+	n := 0
 	for i := range s.shards {
-		for _, fc := range s.shards[i].p.Distribution() {
-			merged[fc.Freq] += fc.Count
+		heads[i] = s.shards[i].p.Distribution()
+		n += len(heads[i])
+	}
+	out := make([]FreqCount, 0, n)
+	for {
+		found := false
+		var next FreqCount
+		for _, h := range heads {
+			if len(h) > 0 && (!found || h[0].Freq < next.Freq) {
+				next.Freq, found = h[0].Freq, true
+			}
 		}
+		if !found {
+			return out
+		}
+		for i, h := range heads {
+			if len(h) > 0 && h[0].Freq == next.Freq {
+				next.Count += h[0].Count
+				heads[i] = h[1:]
+			}
+		}
+		out = append(out, next)
 	}
-	out := make([]FreqCount, 0, len(merged))
-	for f, c := range merged {
-		out = append(out, FreqCount{Freq: f, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Freq < out[j].Freq })
-	return out
 }
 
 // AtRank returns the entry at 0-based rank r of the global ascending-sorted

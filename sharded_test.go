@@ -2,6 +2,7 @@ package sprofile_test
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -312,8 +313,13 @@ func TestShardedConcurrentProducers(t *testing.T) {
 	}
 }
 
+// TestShardedPropertyMatchesReference feeds a Sharded profile and a single
+// reference Profile the same random stream and requires every merged
+// statistic to agree. Removes may drive frequencies negative (no strict
+// mode), and round-robin streams give every shard the same frequencies, so
+// the shard histograms merge with both shared and disjoint entries.
 func TestShardedPropertyMatchesReference(t *testing.T) {
-	f := func(seed uint64, rawM uint8, rawShards uint8, rawN uint16) bool {
+	f := func(seed uint64, rawM uint8, rawShards uint8, rawN uint16, roundRobin bool) bool {
 		m := int(rawM)%40 + 1
 		numShards := int(rawShards)%8 + 1
 		n := int(rawN) % 500
@@ -322,6 +328,9 @@ func TestShardedPropertyMatchesReference(t *testing.T) {
 		rng := stream.NewRNG(seed)
 		for i := 0; i < n; i++ {
 			x := rng.Intn(m)
+			if roundRobin {
+				x = i % m
+			}
 			action := sprofile.ActionAdd
 			if rng.Bernoulli(0.4) {
 				action = sprofile.ActionRemove
@@ -340,9 +349,22 @@ func TestShardedPropertyMatchesReference(t *testing.T) {
 		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
 			return false
 		}
-		return gotMode.Frequency == wantMode.Frequency && gotMed.Frequency == wantMed.Frequency
+		if gotMode.Frequency != wantMode.Frequency || gotMed.Frequency != wantMed.Frequency {
+			return false
+		}
+		for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+			got, err1 := s.Quantile(q)
+			want, err2 := ref.Quantile(q)
+			if err1 != nil || err2 != nil || got.Frequency != want.Frequency {
+				return false
+			}
+		}
+		if !slices.Equal(s.Distribution(), ref.Distribution()) {
+			return false
+		}
+		return s.Summarize().DistinctFrequencies == ref.Summarize().DistinctFrequencies
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
