@@ -276,11 +276,6 @@ func (ak *AsyncKeyed[K]) QueryKeys(kq KeyedQuery[K]) (KeyedQueryResult[K], error
 	return q.answer(kq, func(key K) (int64, error) { return ak.countIn(q.profile, key) })
 }
 
-// queryDense answers q on the current epoch's dense snapshot.
-func (ak *AsyncKeyed[K]) queryDense(q Query) (QueryResult, error) {
-	return QueryProfiler(ak.curView(), q)
-}
-
 // Profile exposes the current epoch's dense snapshot as a read-only view.
 func (ak *AsyncKeyed[K]) Profile() Profiler { return NewReadOnly(ak.curView()) }
 

@@ -250,6 +250,12 @@ func decodeState(data []byte) (*State, error) {
 		if count > capacity {
 			return nil, fmt.Errorf("%w: %d keys exceed capacity %d", ErrBadSnapshot, count, capacity)
 		}
+		// Every entry takes at least two bytes (a key length and a
+		// frequency), so a count the remaining bytes cannot hold is refused
+		// before anything is sized by it.
+		if count > uint64(len(rest)/2) {
+			return nil, fmt.Errorf("%w: %d keys in %d bytes", ErrBadSnapshot, count, len(rest))
+		}
 		st.Keys = make([]string, 0, count)
 		st.Freqs = make([]int64, 0, count)
 		for i := uint64(0); i < count; i++ {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -21,22 +20,13 @@ type exportDoc struct {
 	Objects  []exportEntry `json:"objects"`
 }
 
-// rankResponse answers GET /v1/stats/rank.
-type rankResponse struct {
-	Object     string  `json:"object"`
-	Frequency  int64   `json:"frequency"`
-	Rank       int     `json:"rank"`       // 1 = most frequent
-	Percentile float64 `json:"percentile"` // fraction of slots with frequency <= this object's
-}
-
-// registerExportRoutes adds the export/import/rank endpoints; called from
+// registerExportRoutes adds the export/import endpoints; called from
 // routes().
 func (s *Server) registerExportRoutes() {
 	// Export and import stream whole-profile NDJSON bodies, so neither is
 	// deadline-wrapped (http.TimeoutHandler would buffer the export).
 	s.mux.HandleFunc("/v1/export", s.handleExport)
 	s.mux.HandleFunc("/v1/import", s.handleImport)
-	s.mux.Handle("/v1/stats/rank", s.deadlineFunc(s.handleRank))
 }
 
 // handleExport dumps every tracked object and its frequency. The document can
@@ -88,8 +78,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var doc exportDoc
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&doc); err != nil {
+	if err := strictDecode(r.Body, &doc); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid import document: %v", err)
 		return
 	}
@@ -121,45 +110,4 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"imported": imported})
-}
-
-// handleRank reports where one object sits in the popularity order: its rank
-// among all slots (1 = most frequent) and the fraction of slots at or below
-// its frequency.
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	object := r.URL.Query().Get("object")
-	if object == "" {
-		writeError(w, http.StatusBadRequest, "missing object parameter")
-		return
-	}
-	m := s.keyed().Cap()
-	if m == 0 {
-		// Unreachable today (server.New rejects Capacity <= 0), but kept on
-		// the taxonomy funnel so the contract holds if that ever changes.
-		writeProfileError(w, sprofile.ErrEmptyProfile)
-		return
-	}
-	f, err := s.keyed().Count(object)
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	// The histogram walk costs O(#distinct frequencies) but works against any
-	// sprofile.Profiler representation, sharded included.
-	atLeast := 0
-	for _, fc := range s.keyed().Distribution() {
-		if fc.Freq >= f {
-			atLeast += fc.Count
-		}
-	}
-	writeJSON(w, http.StatusOK, rankResponse{
-		Object:     object,
-		Frequency:  f,
-		Rank:       atLeast,
-		Percentile: float64(m-atLeast) / float64(m),
-	})
 }

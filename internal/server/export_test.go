@@ -68,6 +68,8 @@ func TestImportValidation(t *testing.T) {
 		"not json":           `nope`,
 		"empty object":       `{"objects":[{"object":"","frequency":1}]}`,
 		"negative frequency": `{"objects":[{"object":"x","frequency":-2}]}`,
+		"trailing data":      `{"objects":[{"object":"x","frequency":1}]} {"objects":[]}`,
+		"unknown field":      `{"objects":[{"object":"x","frequency":1,"weight":2}]}`,
 	}
 	for name, body := range cases {
 		resp, err := http.Post(ts.URL+"/v1/import", "application/json", strings.NewReader(body))

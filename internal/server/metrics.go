@@ -32,23 +32,12 @@ var (
 		"How often each statistic was selected across composite queries.", "stat")
 )
 
-// knownRoutes is the closed set of route labels; it must track routes().
-var knownRoutes = map[string]bool{
-	"/healthz": true, "/metrics": true,
-	"/v1/events": true, "/v1/events/bulk": true, "/v1/query": true,
-	"/v1/admin/checkpoint": true, "/v1/admin/flush": true, "/v1/admin/promote": true,
-	"/v1/admin/failpoint": true,
-	"/v1/stats/mode":      true, "/v1/stats/top": true, "/v1/stats/min": true,
-	"/v1/stats/bottom": true, "/v1/stats/count": true, "/v1/stats/median": true,
-	"/v1/stats/quantile": true, "/v1/stats/majority": true,
-	"/v1/stats/distribution": true, "/v1/stats/summary": true,
-	"/v1/stats/rank": true, "/v1/export": true, "/v1/import": true,
-	"/v1/replication/snapshot": true, "/v1/replication/wal": true,
-}
-
-func routeLabel(path string) string {
-	if knownRoutes[path] {
-		return path
+// routeLabel names r's route for the HTTP families: the pattern the router
+// registered for it, so the label set is exactly the registered routes, or
+// "other" for a path no route matches.
+func (s *Server) routeLabel(r *http.Request) string {
+	if _, pattern := s.mux.Handler(r); pattern != "" {
+		return pattern
 	}
 	return "other"
 }
@@ -77,7 +66,7 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 // instrument wraps the routed mux: one counter bump and one latency
 // observation per request, labeled by the routing table's pattern.
 func (s *Server) instrument(next http.Handler, w http.ResponseWriter, r *http.Request) {
-	route := routeLabel(r.URL.Path)
+	route := s.routeLabel(r)
 	rec := &statusRecorder{ResponseWriter: w}
 	start := time.Now()
 	next.ServeHTTP(rec, r)

@@ -425,3 +425,67 @@ func TestMetricsConformanceUnderConcurrentIngest(t *testing.T) {
 		t.Errorf("query statistic counters did not advance under load")
 	}
 }
+
+// TestRouteLabels checks that the route label of the HTTP families is
+// derived from the registrations: every registered pattern, the
+// conditional failpoint route and the GET statistics table included,
+// renders as its own label, and nothing else does.
+func TestRouteLabels(t *testing.T) {
+	s, err := New(Config{Capacity: 8, WALPath: t.TempDir(), DebugFailpoints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	routes := []string{
+		"/healthz", "/metrics", "/v1/events", "/v1/events/bulk", "/v1/query",
+		"/v1/admin/checkpoint", "/v1/admin/flush", "/v1/admin/promote", "/v1/admin/failpoint",
+		"/v1/export", "/v1/import", "/v1/replication/snapshot", "/v1/replication/wal",
+	}
+	for _, rt := range s.statRoutes() {
+		routes = append(routes, rt.path)
+	}
+	for _, route := range routes {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			if got := s.routeLabel(httptest.NewRequest(method, route+"?k=1", nil)); got != route {
+				t.Errorf("%s %s renders as route %q, want its own pattern", method, route, got)
+			}
+		}
+	}
+	for _, path := range []string{"/", "/v1/stats", "/v1/stats/mode/x", "/v1/nope"} {
+		if got := s.routeLabel(httptest.NewRequest(http.MethodGet, path, nil)); got != "other" {
+			t.Errorf("unregistered %s renders as route %q, want other", path, got)
+		}
+	}
+	plain, err := New(Config{Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if got := plain.routeLabel(httptest.NewRequest(http.MethodPost, "/v1/admin/failpoint", nil)); got != "other" {
+		t.Errorf("failpoint route without DebugFailpoints renders as %q, want other", got)
+	}
+
+	// A served GET statistic is counted under its route and, like POST
+	// /v1/query, under the query families by its selected statistics.
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/stats/rank?object=a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	fams := scrapeMetrics(t, ts)
+	for family, series := range map[string]string{
+		"sprofile_http_requests_total":    `route="/v1/stats/rank"`,
+		"sprofile_query_seconds":          `stats="count+distribution"`,
+		"sprofile_query_statistics_total": `stat="distribution"`,
+	} {
+		found := false
+		for name := range fams[family].samples {
+			found = found || strings.Contains(name, series)
+		}
+		if !found {
+			t.Errorf("%s has no %s series after GET /v1/stats/rank", family, series)
+		}
+	}
+}

@@ -2,8 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -204,4 +206,186 @@ func TestQueryEndpointAtomicUnderIngest(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// fetch sends req and returns the response status and body.
+func fetch(t *testing.T, req *http.Request) (int, []byte) {
+	t.Helper()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// decodeAny decodes a JSON document generically, for comparing bodies.
+func decodeAny(t *testing.T, raw []byte) any {
+	t.Helper()
+	var out any
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("decoding %q: %v", raw, err)
+	}
+	return out
+}
+
+// TestStatRoutesMatchQuery holds every GET /v1/stats/* route to the answer
+// POST /v1/query gives for the same selection on a quiet server: a route's
+// body is a projection of that answer (written out here, independently of
+// the server's own rendering), and a failed query fails the route with the
+// same status and body.
+func TestStatRoutesMatchQuery(t *testing.T) {
+	type projection func(res sprofile.KeyedQueryResult[string], tracked int) (int, any)
+	entry := func(e sprofile.KeyedEntry[string]) map[string]any {
+		return map[string]any{"object": e.Key, "frequency": e.Frequency}
+	}
+	extreme := func(x *sprofile.KeyedExtreme[string]) map[string]any {
+		m := entry(x.KeyedEntry)
+		m["ties"] = x.Ties
+		return m
+	}
+	list := func(es []sprofile.KeyedEntry[string]) []any {
+		out := []any{}
+		for _, e := range es {
+			out = append(out, entry(e))
+		}
+		return out
+	}
+	rank := func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+		c := res.Counts[0]
+		slots, atLeast := 0, 0
+		for _, fc := range res.Distribution {
+			slots += fc.Count
+			if fc.Freq >= c.Frequency {
+				atLeast += fc.Count
+			}
+		}
+		if slots == 0 {
+			return http.StatusUnprocessableEntity, errorResponse{Error: sprofile.ErrEmptyProfile.Error(), Code: "empty_profile"}
+		}
+		return http.StatusOK, map[string]any{"object": c.Key, "frequency": c.Frequency,
+			"rank": atLeast, "percentile": float64(slots-atLeast) / float64(slots)}
+	}
+	routes := []struct {
+		get, query string
+		project    projection
+	}{
+		{"/v1/stats/mode", `{"mode":true}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, extreme(res.Mode)
+		}},
+		{"/v1/stats/min", `{"min":true}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, extreme(res.Min)
+		}},
+		{"/v1/stats/top", `{"top_k":10}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, list(res.TopK)
+		}},
+		{"/v1/stats/top?k=2", `{"top_k":2}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, list(res.TopK)
+		}},
+		{"/v1/stats/bottom?k=3", `{"bottom_k":3}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, list(res.BottomK)
+		}},
+		{"/v1/stats/count?object=a", `{"count":["a"]}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, entry(res.Counts[0])
+		}},
+		{"/v1/stats/count?object=ghost", `{"count":["ghost"]}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, map[string]any{"object": "ghost", "frequency": 0}
+		}},
+		{"/v1/stats/median", `{"median":true}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, entry(*res.Median)
+		}},
+		{"/v1/stats/quantile?q=0.9", `{"quantiles":[0.9]}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, entry(res.Quantiles[0].KeyedEntry)
+		}},
+		{"/v1/stats/majority", `{"majority":true}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			if !res.Majority.Majority {
+				return http.StatusOK, map[string]any{"majority": false}
+			}
+			m := entry(res.Majority.KeyedEntry)
+			m["majority"] = true
+			return http.StatusOK, m
+		}},
+		{"/v1/stats/distribution", `{"distribution":true}`, func(res sprofile.KeyedQueryResult[string], _ int) (int, any) {
+			return http.StatusOK, res.Distribution
+		}},
+		{"/v1/stats/summary", `{"summary":true}`, func(res sprofile.KeyedQueryResult[string], tracked int) (int, any) {
+			s := res.Summary
+			return http.StatusOK, map[string]any{
+				"capacity": s.Capacity, "tracked": tracked, "total": s.Total, "active": s.Active,
+				"distinct_frequencies": s.DistinctFrequencies, "max_frequency": s.MaxFrequency,
+				"min_frequency": s.MinFrequency, "adds": s.Adds, "removes": s.Removes,
+			}
+		}},
+		{"/v1/stats/rank?object=a", `{"count":["a"],"distribution":true}`, rank},
+		{"/v1/stats/rank?object=ghost", `{"count":["ghost"],"distribution":true}`, rank},
+	}
+
+	busy := newTestServer(t, 8)
+	postEvents(t, busy, `[{"object":"a","action":"add"},{"object":"a","action":"add"},
+		{"object":"a","action":"add"},{"object":"a","action":"add"},
+		{"object":"b","action":"add"},{"object":"c","action":"add"}]`)
+	// New refuses a zero capacity, so the profile with no slots, on which
+	// the rank statistics fail with 422 empty_profile, is wired up directly.
+	keyed, err := sprofile.BuildKeyed[string](0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { keyed.Close() })
+	noSlots := &Server{profile: keyed, maxBatch: 10_000, mux: http.NewServeMux()}
+	noSlots.initGuards(Config{})
+	noSlots.routes()
+	empty := httptest.NewServer(noSlots)
+	t.Cleanup(empty.Close)
+
+	unprocessable := 0
+	for _, fx := range []struct {
+		name    string
+		ts      *httptest.Server
+		tracked int
+	}{
+		{"busy", busy, 3},
+		{"fresh", newTestServer(t, 4), 0},
+		{"no slots", empty, 0},
+	} {
+		for _, rt := range routes {
+			get, err := http.NewRequest(http.MethodGet, fx.ts.URL+rt.get, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			post, err := http.NewRequest(http.MethodPost, fx.ts.URL+"/v1/query", strings.NewReader(rt.query))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotStatus, got := fetch(t, get)
+			postStatus, posted := fetch(t, post)
+			wantStatus, want := postStatus, decodeAny(t, posted)
+			if postStatus == http.StatusOK {
+				var res sprofile.KeyedQueryResult[string]
+				if err := json.Unmarshal(posted, &res); err != nil {
+					t.Fatal(err)
+				}
+				var v any
+				wantStatus, v = rt.project(res, fx.tracked)
+				raw, err := json.Marshal(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = decodeAny(t, raw)
+			}
+			if wantStatus == http.StatusUnprocessableEntity {
+				unprocessable++
+			}
+			if gotStatus != wantStatus || !reflect.DeepEqual(decodeAny(t, got), want) {
+				t.Errorf("%s: GET %s = %d %s, want %d %v (POST %s = %d %s)",
+					fx.name, rt.get, gotStatus, got, wantStatus, want, rt.query, postStatus, posted)
+			}
+		}
+	}
+	if unprocessable == 0 {
+		t.Fatal("no route answered 422 on the profile with no slots")
+	}
 }

@@ -24,7 +24,11 @@
 //	GET  /v1/stats/majority      strict-majority object, if any
 //	GET  /v1/stats/distribution  full frequency histogram
 //	GET  /v1/stats/summary       aggregate counters
+//	GET  /v1/stats/rank?object=  popularity rank and percentile of one object
 //	GET  /healthz                liveness probe
+//
+// Each GET /v1/stats/* route is POST /v1/query with one statistic selected
+// (query.go): the same handler path, cut and error mapping.
 //
 // Concurrency: the server holds no lock of its own. Handlers call a
 // sprofile.KeyedConcurrent directly — ingestion synchronises on the event
@@ -431,16 +435,7 @@ func (s *Server) routes() {
 	if s.debugFailpoints {
 		s.mux.Handle("/v1/admin/failpoint", s.deadlineFunc(s.handleFailpoint))
 	}
-	s.mux.Handle("/v1/stats/mode", s.deadlineFunc(s.handleMode))
-	s.mux.Handle("/v1/stats/top", s.deadlineFunc(s.handleTop))
-	s.mux.Handle("/v1/stats/min", s.deadlineFunc(s.handleMin))
-	s.mux.Handle("/v1/stats/bottom", s.deadlineFunc(s.handleBottom))
-	s.mux.Handle("/v1/stats/count", s.deadlineFunc(s.handleCount))
-	s.mux.Handle("/v1/stats/median", s.deadlineFunc(s.handleMedian))
-	s.mux.Handle("/v1/stats/quantile", s.deadlineFunc(s.handleQuantile))
-	s.mux.Handle("/v1/stats/majority", s.deadlineFunc(s.handleMajority))
-	s.mux.Handle("/v1/stats/distribution", s.deadlineFunc(s.handleDistribution))
-	s.mux.Handle("/v1/stats/summary", s.deadlineFunc(s.handleSummary))
+	s.registerStatRoutes()
 	s.registerExportRoutes()
 	s.registerReplicationRoutes()
 }
@@ -450,21 +445,6 @@ type eventsResponse struct {
 	Applied int    `json:"applied"`
 	Error   string `json:"error,omitempty"`
 	Code    string `json:"code,omitempty"`
-}
-
-// entryResponse is the wire form of a single statistics answer.
-type entryResponse struct {
-	Object    string `json:"object"`
-	Frequency int64  `json:"frequency"`
-	Ties      int    `json:"ties,omitempty"`
-}
-
-// majorityResponse answers GET /v1/stats/majority; Object and Frequency are
-// meaningful only when Majority is true.
-type majorityResponse struct {
-	Object    string `json:"object,omitempty"`
-	Frequency int64  `json:"frequency,omitempty"`
-	Majority  bool   `json:"majority"`
 }
 
 type errorResponse struct {
@@ -984,175 +964,4 @@ func (s *Server) writeBulkApplyError(w http.ResponseWriter, applied int, err err
 	status, code := errorCode(err)
 	setRetryHint(w, err)
 	writeJSON(w, status, eventsResponse{Applied: applied, Error: err.Error(), Code: code})
-}
-
-func (s *Server) handleMode(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	entry, ties, err := s.keyed().Mode()
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: entry.Key, Frequency: entry.Frequency, Ties: ties})
-}
-
-func (s *Server) handleMin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	entry, ties, err := s.keyed().Min()
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: entry.Key, Frequency: entry.Frequency, Ties: ties})
-}
-
-// parseK reads the ?k= parameter shared by the top and bottom handlers,
-// defaulting to 10. The bool reports whether the value was valid (an error
-// has been written otherwise).
-func parseK(w http.ResponseWriter, r *http.Request) (int, bool) {
-	k := 10
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, "k must be a positive integer, got %q", raw)
-			return 0, false
-		}
-		k = v
-	}
-	return k, true
-}
-
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	k, ok := parseK(w, r)
-	if !ok {
-		return
-	}
-	entries := s.keyed().TopK(k)
-	out := make([]entryResponse, len(entries))
-	for i, e := range entries {
-		out[i] = entryResponse{Object: e.Key, Frequency: e.Frequency}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleBottom(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	k, ok := parseK(w, r)
-	if !ok {
-		return
-	}
-	entries := s.keyed().BottomK(k)
-	out := make([]entryResponse, len(entries))
-	for i, e := range entries {
-		out[i] = entryResponse{Object: e.Key, Frequency: e.Frequency}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	object := r.URL.Query().Get("object")
-	if object == "" {
-		writeError(w, http.StatusBadRequest, "missing object parameter")
-		return
-	}
-	f, err := s.keyed().Count(object)
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: object, Frequency: f})
-}
-
-func (s *Server) handleMedian(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	entry, err := s.keyed().Median()
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: entry.Key, Frequency: entry.Frequency})
-}
-
-func (s *Server) handleQuantile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	raw := r.URL.Query().Get("q")
-	q, err := strconv.ParseFloat(raw, 64)
-	if err != nil || q < 0 || q > 1 {
-		writeError(w, http.StatusBadRequest, "q must be a number in [0,1], got %q", raw)
-		return
-	}
-	entry, err := s.keyed().Quantile(q)
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: entry.Key, Frequency: entry.Frequency})
-}
-
-func (s *Server) handleMajority(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	entry, ok, err := s.keyed().Majority()
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	if !ok {
-		writeJSON(w, http.StatusOK, majorityResponse{Majority: false})
-		return
-	}
-	writeJSON(w, http.StatusOK, majorityResponse{Object: entry.Key, Frequency: entry.Frequency, Majority: true})
-}
-
-func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.keyed().Distribution())
-}
-
-func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	summary := s.keyed().Summarize()
-	tracked := s.keyed().Tracked()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"capacity":             summary.Capacity,
-		"tracked":              tracked,
-		"total":                summary.Total,
-		"active":               summary.Active,
-		"distinct_frequencies": summary.DistinctFrequencies,
-		"max_frequency":        summary.MaxFrequency,
-		"min_frequency":        summary.MinFrequency,
-		"adds":                 summary.Adds,
-		"removes":              summary.Removes,
-	})
 }

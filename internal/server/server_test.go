@@ -391,7 +391,8 @@ func TestMethodNotAllowed(t *testing.T) {
 	paths := []string{
 		"/v1/stats/mode", "/v1/stats/top", "/v1/stats/min", "/v1/stats/bottom",
 		"/v1/stats/majority", "/v1/stats/count", "/v1/stats/median",
-		"/v1/stats/quantile", "/v1/stats/distribution", "/v1/stats/summary", "/healthz",
+		"/v1/stats/quantile", "/v1/stats/distribution", "/v1/stats/summary", "/v1/stats/rank",
+		"/healthz",
 	}
 	for _, path := range paths {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(nil))

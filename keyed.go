@@ -90,22 +90,17 @@ func (q *keyedQueries[K]) translate(entries []Entry) []KeyedEntry[K] {
 // (*ReadOnlyProfiler).Unwrap.
 func (q *keyedQueries[K]) Profile() Profiler { return NewReadOnly(q.profile) }
 
-// queryDense answers q on the dense profile through its own Querier
-// capability (see QueryProfiler); no id is translated, so nothing beyond the
-// dense profile's cut is pinned.
-func (q *keyedQueries[K]) queryDense(dq Query) (QueryResult, error) {
-	return QueryProfiler(q.profile, dq)
-}
-
 // answer evaluates a keyed composite query: the dense statistics through
 // the inner profiler's own Querier capability (see QueryProfiler), every
 // dense id in them resolved back to its key, and each requested key's
-// frequency read through count (unknown keys count as zero). The caller
-// pins the cut: the resolver and count must not change while answer runs
-// (single goroutine for Keyed, a quiesced mapper for KeyedConcurrent, one
-// epoch snapshot for AsyncKeyed).
+// frequency read through count (unknown keys count as zero; count may be
+// nil when kq.Count is empty). The caller pins the cut: the resolver and
+// count must not change while answer runs (single goroutine for Keyed, a
+// quiesced mapper for KeyedConcurrent, one epoch snapshot for AsyncKeyed).
+// A selection that names no key and counts none uses neither, so the dense
+// profile's own cut is enough.
 func (q *keyedQueries[K]) answer(kq KeyedQuery[K], count func(K) (int64, error)) (KeyedQueryResult[K], error) {
-	dr, err := q.queryDense(kq.dense())
+	dr, err := QueryProfiler(q.profile, kq.dense())
 	if err != nil {
 		return KeyedQueryResult[K]{}, err
 	}

@@ -44,18 +44,18 @@ var ErrWALAppend = errors.New("sprofile: event applied but not journaled")
 // hash-distributed keys the stripes stay balanced and the difference from
 // global eviction is marginal.
 //
-// Global queries that name keys (Mode, TopK, Median, ...) are
-// single-statistic QueryKeys calls: each quiesces the mapper stripes, reads
-// the dense profile and translates ids back to keys under that one cut, so a
-// translated key is never one recycled mid-query. Distribution and Summarize
-// name no key and are plain dense reads. Per-key queries (Count) take only
-// their key's stripe lock.
+// Every statistic getter is a single-statistic QueryKeys call, and QueryKeys
+// picks the narrowest cut that still answers consistently (see there): a
+// global query that names keys (Mode, TopK, Median, ...) quiesces the mapper
+// stripes, so a translated key is never one recycled mid-query;
+// Distribution and Summarize name no key and read the dense profile's own
+// cut; one key's Count takes only that key's stripe lock.
 //
 // Construct with BuildKeyed. As with Keyed, mutating the underlying Profile()
 // directly desynchronises the bookkeeping and must be avoided.
 type KeyedConcurrent[K comparable] struct {
 	keyedQueries[K]
-	keyedStatViews[K] // key-naming getters as one-field QueryKeys, each one quiesced cut
+	keyedStatViews[K] // getters as one-field QueryKeys
 	ids               *idmap.Striped[K]
 	recycle           bool
 	// deltas is the dense profile's DeltaUpdater capability (always present
@@ -571,20 +571,48 @@ func (k *KeyedConcurrent[K]) Apply(key K, action Action) error {
 	}
 }
 
-// QueryKeys answers a keyed composite query from ONE quiesced cut: every
-// mapper stripe lock is held for the duration (writers wait, readers of
-// other structures proceed), so the dense statistics, the per-key counts and
-// the id→key translation all describe the same instant — a translated key
-// can never have been recycled between a statistic and its resolution. The
-// single-statistic getters that name keys (Mode, TopK, Median, ...) are
-// one-field QueryKeys calls, so each of them quiesces the stripes too;
-// Distribution and Summarize name no key and read the dense profile's own
-// cut, and Count, Cap and Total do not quiesce either.
+// QueryKeys answers a keyed composite query from ONE consistent cut, the
+// narrowest one that covers the selection:
+//
+//   - a selection of only Distribution and Summary names no key and is
+//     answered from the dense profile's own cut, without touching a stripe;
+//   - a selection of exactly one Count key and nothing else holds only that
+//     key's stripe lock;
+//   - every other selection quiesces: every mapper stripe lock is held for
+//     the duration (writers wait, readers of other structures proceed), so
+//     the dense statistics, the per-key counts and the id→key translation
+//     all describe the same instant — a translated key can never have been
+//     recycled between a statistic and its resolution.
+//
+// The single-statistic getters are one-field QueryKeys calls and take the
+// same cuts; Count, Cap and Total are native and never quiesce either.
 //
 // The dense evaluation itself runs through the inner profile's own Querier
 // (one lock acquisition on Concurrent, one merged cut on Sharded); with
 // writers quiesced those locks are uncontended.
 func (k *KeyedConcurrent[K]) QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], error) {
+	if !q.namesKeys() {
+		switch {
+		case len(q.Count) == 0:
+			return k.answer(q, nil)
+		case len(q.Count) == 1 && !q.Distribution && !q.Summary:
+			return k.countKey(q.Count[0])
+		}
+	}
+	return k.queryQuiesced(q)
+}
+
+// countKey answers a query for one key's count from that key's stripe.
+func (k *KeyedConcurrent[K]) countKey(key K) (KeyedQueryResult[K], error) {
+	f, err := k.Count(key)
+	if err != nil {
+		return KeyedQueryResult[K]{}, err
+	}
+	return KeyedQueryResult[K]{Counts: []KeyedEntry[K]{{Key: key, Frequency: f}}}, nil
+}
+
+// queryQuiesced answers q with every mapper stripe lock held.
+func (k *KeyedConcurrent[K]) queryQuiesced(q KeyedQuery[K]) (KeyedQueryResult[K], error) {
 	var out KeyedQueryResult[K]
 	var err error
 	k.ids.Quiesce(func() {

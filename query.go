@@ -49,8 +49,7 @@ type MajorityEntry = core.MajorityEntry
 //
 // The wrappers' single-statistic getters (Mode, TopK, Median, ...) are views
 // of this capability: each is a Query (or QueryKeys) with one field
-// selected, answered from the same cut. The keyed Distribution and Summarize
-// name no key and are one-field Queries on the dense profile.
+// selected, answered from the same cut.
 //
 // For a Profiler of unknown concrete type, use QueryProfiler, which falls
 // back to a Snapshotter-based consistent cut when the capability is absent.
@@ -91,6 +90,13 @@ func (q KeyedQuery[K]) dense() Query {
 		Distribution: q.Distribution,
 		Summary:      q.Summary,
 	}
+}
+
+// namesKeys reports whether q selects a statistic whose answer resolves a
+// dense id back to its key: every one but Count, Distribution and Summary.
+func (q KeyedQuery[K]) namesKeys() bool {
+	return q.Mode || q.Min || q.TopK != 0 || q.BottomK != 0 || len(q.KthLargest) > 0 ||
+		q.Median || len(q.Quantiles) > 0 || q.Majority
 }
 
 // KeyedExtreme is a Mode or Min answer inside a KeyedQueryResult.

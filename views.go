@@ -117,18 +117,14 @@ func (v statViews) Summarize() Summary {
 }
 
 // keyedQuerySource is what keyedStatViews reads through: the embedding type.
-// queryDense answers a query on the dense profile behind the keys, pinning
-// only the cut the dense profile pins itself.
 type keyedQuerySource[K comparable] interface {
 	QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], error)
-	queryDense(q Query) (QueryResult, error)
 	Cap() int
 }
 
-// keyedStatViews is the keyed counterpart of statViews: each getter that
-// names keys is a single-statistic QueryKeys, so its id→key translation
-// shares the statistic's cut. Distribution and Summarize name no key and are
-// one-field dense queries instead, so they never quiesce a keyed mapper.
+// keyedStatViews is the keyed counterpart of statViews: each getter is a
+// single-statistic QueryKeys, so an id→key translation shares the
+// statistic's cut, and QueryKeys picks the narrowest cut that answers it.
 type keyedStatViews[K comparable] struct{ src keyedQuerySource[K] }
 
 // Mode returns a key with maximum frequency, that frequency, and how many
@@ -207,13 +203,13 @@ func (v keyedStatViews[K]) Majority() (KeyedEntry[K], bool, error) {
 
 // Distribution returns the frequency histogram in ascending frequency order.
 func (v keyedStatViews[K]) Distribution() []FreqCount {
-	res, _ := v.src.queryDense(Query{Distribution: true})
+	res, _ := v.src.QueryKeys(KeyedQuery[K]{Distribution: true})
 	return res.Distribution
 }
 
 // Summarize returns aggregate statistics of the underlying profile.
 func (v keyedStatViews[K]) Summarize() Summary {
-	res, err := v.src.queryDense(Query{Summary: true})
+	res, err := v.src.QueryKeys(KeyedQuery[K]{Summary: true})
 	if err != nil {
 		return Summary{}
 	}
